@@ -561,10 +561,6 @@ class LiveQueryManager:
             if rec.enabled:
                 rec.gauge("live.watches", len(self._watches))
 
-    def get_watch(self, watch_id: str) -> Watch | None:
-        with self._lock:
-            return self._watches.get(watch_id)
-
     def drop_session(self, session_id: str) -> None:
         """Release every watch a (closing) session still holds."""
         with self._lock:

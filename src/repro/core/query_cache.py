@@ -193,12 +193,6 @@ class QueryResultCache:
         with self._lock:
             self._install_locked(key, _Entry(result, versions))
 
-    def entry_versions(self, key: tuple) -> dict[str, int] | None:
-        """The stored versions for ``key`` (None when absent)."""
-        with self._lock:
-            entry = self._entries.get(key)
-            return dict(entry.versions) if entry is not None else None
-
     def _install_locked(self, key: tuple, entry: _Entry) -> None:
         """Insert/replace behind the freshness guard; caller holds lock."""
         existing = self._entries.get(key)

@@ -104,10 +104,6 @@ class RuleError(ReproError):
     """An ECA rule definition or execution failed."""
 
 
-class RuleConflictError(RuleError):
-    """Two rules with identical specificity match the same event."""
-
-
 class CascadeLimitError(RuleError):
     """Rule execution exceeded the configured cascade depth."""
 

@@ -603,9 +603,6 @@ class GeographicDatabase:
             self._snapshots[txn.txn_id] = ts
             return ts
 
-    def _release_snapshot(self, txn: Transaction) -> None:
-        self._release_snapshot_id(txn.txn_id)
-
     def _release_snapshot_id(self, txn_id: int) -> None:
         """Unpin a snapshot by transaction id.
 

@@ -275,10 +275,6 @@ def _relate_line_polygon(line: LineString, poly: Polygon) -> Relation:
     return Relation.DISJOINT
 
 
-def _polygon_boundary_as_lines(poly: Polygon) -> list[LineString]:
-    return [LineString(ring.closed_coords()) for ring in poly.rings()]
-
-
 def _interior_overlap_witness(a: Polygon, b: Polygon) -> bool:
     """True when a point strictly interior to both polygons can be found.
 

@@ -35,7 +35,7 @@ def summarize_window(window: Window) -> WindowSummary:
     for widget in window.walk():
         types[widget.widget_type] = types.get(widget.widget_type, 0) + 1
         if isinstance(widget, DrawingArea):
-            feature_count += len(widget.features)
+            feature_count += widget.feature_count
     listed: tuple[str, ...] = ()
     main_list = window.find("classes") or window.find("instances")
     if isinstance(main_list, ListWidget):

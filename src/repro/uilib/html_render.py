@@ -107,8 +107,9 @@ def _node(widget: InterfaceObject) -> str:
                 f"{_esc(widget.label)}</button>")
     if isinstance(widget, ListWidget):
         label = widget.get_property("label", "")
+        selected = widget.selected_key
         items = "\n".join(
-            f"<li class='{'selected' if key == widget.selected_key else ''}'"
+            f"<li class='{'selected' if key == selected else ''}'"
             f" data-key='{_esc(key)}'>{_esc(text)}</li>"
             for key, text in widget.items
         )
@@ -159,7 +160,7 @@ def _map_html(area: DrawingArea) -> str:
     caption = (
         f"extent ({extent.min_x:.1f}, {extent.min_y:.1f}) .. "
         f"({extent.max_x:.1f}, {extent.max_y:.1f}) — "
-        f"{len(area.features)} features"
+        f"{area.feature_count} features"
     )
     body = "\n".join(rows)
     return (

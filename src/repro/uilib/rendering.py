@@ -99,10 +99,12 @@ class TextRenderer:
             label = widget.get_property("label", "")
             if label:
                 lines.append(pad + label + ":")
-            for key, item_label in widget.items:
-                marker = ">" if key == widget.selected_key else " "
+            items = widget.items
+            selected = widget.selected_key
+            for key, item_label in items:
+                marker = ">" if key == selected else " "
                 lines.append(pad + f" {marker} {item_label}")
-            if not widget.items:
+            if not items:
                 lines.append(pad + "  (empty)")
             return lines
         if isinstance(widget, Menu):
@@ -169,7 +171,7 @@ class TextRenderer:
         rows.append(
             f"extent: ({extent.min_x:.1f}, {extent.min_y:.1f}) .. "
             f"({extent.max_x:.1f}, {extent.max_y:.1f})  "
-            f"features: {len(area.features)}"
+            f"features: {area.feature_count}"
         )
         return rows
 

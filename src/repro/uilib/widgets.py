@@ -21,7 +21,17 @@ from __future__ import annotations
 from typing import Any, Sequence
 
 from ..errors import WidgetError
-from ..spatial.geometry import BBox, Geometry
+from ..spatial.algorithms import densify_line
+from ..spatial.geometry import (
+    BBox,
+    Geometry,
+    LineString,
+    MultiLineString,
+    MultiPoint,
+    MultiPolygon,
+    Point,
+    Polygon,
+)
 from ..spatial.scale import Viewport
 from .base import InterfaceObject
 
@@ -125,6 +135,11 @@ class DrawingArea(InterfaceObject):
         #: list of (oid, Geometry, symbol-char)
         self._features: list[tuple[str, Geometry, str]] = []
         self._viewport: Viewport | None = None
+        # Memos, None until first read. A change to the features drops
+        # both; a change to the viewport drops the raster.
+        self._extent: BBox | None = None
+        #: (col, row) -> (symbol, oid)
+        self._raster: dict[tuple[int, int], tuple[str, str]] | None = None
 
     def add_feature(self, oid: str, geometry: Geometry, symbol: str = "*") -> None:
         if not isinstance(geometry, Geometry):
@@ -132,19 +147,27 @@ class DrawingArea(InterfaceObject):
         if len(symbol) != 1:
             raise WidgetError("feature symbol must be a single character")
         self._features.append((oid, geometry, symbol))
+        self._extent = self._raster = None
 
     def clear_features(self) -> None:
         self._features.clear()
+        self._extent = self._raster = None
 
     @property
     def features(self) -> list[tuple[str, Geometry, str]]:
         return list(self._features)
 
+    @property
+    def feature_count(self) -> int:
+        return len(self._features)
+
     def data_extent(self) -> BBox:
-        box = BBox.empty()
-        for __, geom, __sym in self._features:
-            box = box.union(geom.bbox())
-        return box
+        if self._extent is None:
+            box = BBox.empty()
+            for __, geom, __sym in self._features:
+                box = box.union(geom.bbox())
+            self._extent = box
+        return self._extent
 
     @property
     def viewport(self) -> Viewport:
@@ -161,15 +184,14 @@ class DrawingArea(InterfaceObject):
 
     def set_viewport(self, viewport: Viewport) -> None:
         self._viewport = viewport
+        self._raster = None
 
     def pick_at(self, col: int, row: int) -> str | None:
         """The oid whose rendering occupies cell (col, row), if any.
 
         Fires the ``pick`` event when something is hit.
         """
-        raster = self.rasterize()
-        key = (col, row)
-        oid = raster.get(key, (None, None))[1]
+        oid = self._drawn().get((col, row), (None, None))[1]
         if oid is not None:
             self.fire("pick", oid=oid, col=col, row=row)
         return oid
@@ -177,19 +199,40 @@ class DrawingArea(InterfaceObject):
     def rasterize(self) -> dict[tuple[int, int], tuple[str, str]]:
         """Map (col, row) -> (symbol, oid) for the current viewport.
 
-        Later features overdraw earlier ones (painter's order).
+        Later features overdraw earlier ones (painter's order). The result
+        is the caller's own copy.
         """
+        return dict(self._drawn())
+
+    def _drawn(self) -> dict[tuple[int, int], tuple[str, str]]:
+        """The raster memo; callers must not mutate it."""
+        if self._raster is None:
+            self._raster = self._draw()
+        return self._raster
+
+    def _draw(self) -> dict[tuple[int, int], tuple[str, str]]:
         viewport = self.viewport
+        extent = viewport.extent
+        min_x, min_y = extent.min_x, extent.min_y
+        max_x, max_y = extent.max_x, extent.max_y
+        ground_w, ground_h = extent.width, extent.height
+        cols, rows = viewport.width, viewport.height
+        cell_w, cell_h = viewport.cell_ground_size()
+        step = max(min(cell_w, cell_h) / 2.0, 1e-9)
         cells: dict[tuple[int, int], tuple[str, str]] = {}
-
-        def plot(x: float, y: float, symbol: str, oid: str) -> None:
-            cell = viewport.to_cell(x, y)
-            if cell is not None:
-                cells[cell] = (symbol, oid)
-
         for oid, geom, symbol in self._features:
-            for x, y in _raster_points(geom, viewport):
-                plot(x, y, symbol, oid)
+            hit = (symbol, oid)
+            if isinstance(geom, Point):
+                points = ((geom.x, geom.y),)
+            else:
+                points = _raster_points(geom, step)
+            for x, y in points:
+                # Viewport.to_cell's arithmetic, operation for operation
+                if min_x <= x <= max_x and min_y <= y <= max_y:
+                    col = min(cols - 1, int((x - min_x) / ground_w * cols))
+                    row = min(rows - 1,
+                              int((1.0 - (y - min_y) / ground_h) * rows))
+                    cells[(col, max(0, row))] = hit
         return cells
 
     def _describe_extra(self) -> dict[str, Any]:
@@ -200,20 +243,9 @@ class DrawingArea(InterfaceObject):
         }
 
 
-def _raster_points(geom: Geometry, viewport: Viewport):
-    """Sample a geometry densely enough that each crossed cell gets a hit."""
-    from ..spatial.algorithms import densify_line
-    from ..spatial.geometry import (
-        LineString,
-        MultiLineString,
-        MultiPoint,
-        MultiPolygon,
-        Point,
-        Polygon,
-    )
-
-    cell_w, cell_h = viewport.cell_ground_size()
-    step = max(min(cell_w, cell_h) / 2.0, 1e-9)
+def _raster_points(geom: Geometry, step: float):
+    """Sample a geometry every ``step`` ground units, so that each crossed
+    cell gets a hit."""
     if isinstance(geom, Point):
         yield (geom.x, geom.y)
     elif isinstance(geom, LineString):
@@ -223,7 +255,7 @@ def _raster_points(geom: Geometry, viewport: Viewport):
             yield from densify_line(ring.closed_coords(), step)
     elif isinstance(geom, (MultiPoint, MultiLineString, MultiPolygon)):
         for member in geom:
-            yield from _raster_points(member, viewport)
+            yield from _raster_points(member, step)
 
 
 class ListWidget(InterfaceObject):
@@ -242,25 +274,29 @@ class ListWidget(InterfaceObject):
                  items: Sequence[tuple[str, str]] = (), **props: Any):
         super().__init__(name, **props)
         self._items: list[tuple[str, str]] = []
+        #: key -> position in ``_items``
+        self._index: dict[str, int] = {}
         self._selected: int | None = None
         for key, label in items:
             self.add_item(key, label)
 
     def add_item(self, key: str, label: str | None = None) -> None:
-        if any(k == key for k, __ in self._items):
+        if key in self._index:
             raise WidgetError(f"list {self.name!r} already has item {key!r}")
+        self._index[key] = len(self._items)
         self._items.append((key, label if label is not None else key))
 
     def remove_item(self, key: str) -> None:
-        for i, (k, __) in enumerate(self._items):
-            if k == key:
-                if self._selected == i:
-                    self._selected = None
-                elif self._selected is not None and self._selected > i:
-                    self._selected -= 1
-                del self._items[i]
-                return
-        raise WidgetError(f"list {self.name!r} has no item {key!r}")
+        i = self._index.pop(key, None)
+        if i is None:
+            raise WidgetError(f"list {self.name!r} has no item {key!r}")
+        if self._selected == i:
+            self._selected = None
+        elif self._selected is not None and self._selected > i:
+            self._selected -= 1
+        del self._items[i]
+        for j in range(i, len(self._items)):
+            self._index[self._items[j][0]] = j
 
     @property
     def items(self) -> list[tuple[str, str]]:
@@ -274,11 +310,11 @@ class ListWidget(InterfaceObject):
 
     def select(self, key: str) -> list[Any]:
         """Select by key and fire ``select``; returns callback results."""
-        for i, (k, __) in enumerate(self._items):
-            if k == key:
-                self._selected = i
-                return self.fire("select", key=key, index=i)
-        raise WidgetError(f"list {self.name!r} has no item {key!r}")
+        i = self._index.get(key)
+        if i is None:
+            raise WidgetError(f"list {self.name!r} has no item {key!r}")
+        self._selected = i
+        return self.fire("select", key=key, index=i)
 
     def _describe_extra(self) -> dict[str, Any]:
         return {

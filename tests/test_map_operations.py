@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import GISSession
+from repro.uilib import DrawingArea
 
 
 @pytest.fixture()
@@ -85,3 +86,22 @@ class TestInteraction:
         assert new_window is not window
         area = new_window.find("map")
         assert area.viewport.extent.contains_bbox(area.data_extent())
+
+
+class TestRasterAfterViewportChange:
+    @pytest.mark.parametrize("item", ["zoom", "pan"])
+    def test_operation_redraws_map(self, class_window, item):
+        """Zoom and pan drop the drawn raster: the map and picks follow
+        the new viewport."""
+        area = class_window.find("map")
+        before = area.rasterize()
+        class_window.find("operations").activate(item)
+        fresh = DrawingArea("twin", width=area.width, height=area.height)
+        for oid, geom, symbol in area.features:
+            fresh.add_feature(oid, geom, symbol)
+        fresh.set_viewport(area.viewport)
+        after = area.rasterize()
+        assert after == fresh.rasterize()
+        assert after != before
+        for (col, row), (__, oid) in after.items():
+            assert area.pick_at(col, row) == oid

@@ -1,6 +1,8 @@
 """Unit tests for the widget base machinery and kernel classes."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import WidgetError
 from repro.spatial import BBox, LineString, Point, Viewport
@@ -179,6 +181,61 @@ class TestListWidget:
         with pytest.raises(WidgetError):
             lst.remove_item("ghost")
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(("add", "remove", "select")),
+                              st.sampled_from("abcdef")),
+                    max_size=40))
+    def test_matches_plain_list_model(self, ops):
+        """Random add/remove/select runs agree with a plain-list model."""
+        lst = ListWidget("l")
+        fired = []
+        lst.on("select", lambda e: fired.append(e.data))
+        keys: list[str] = []
+        selected: str | None = None
+        for op, key in ops:
+            if op == "add":
+                if key in keys:
+                    with pytest.raises(WidgetError, match="already has item"):
+                        lst.add_item(key, key.upper())
+                else:
+                    lst.add_item(key, key.upper())
+                    keys.append(key)
+            elif key not in keys:
+                with pytest.raises(WidgetError, match="has no item"):
+                    getattr(lst, f"{op}_item" if op == "remove" else op)(key)
+            elif op == "remove":
+                lst.remove_item(key)
+                keys.remove(key)
+                if selected == key:
+                    selected = None
+            else:
+                lst.select(key)
+                assert fired[-1] == {"key": key, "index": keys.index(key)}
+                selected = key
+            assert lst.items == [(k, k.upper()) for k in keys]
+            assert lst.selected_key == selected
+
+    def test_build_makes_linear_key_comparisons(self):
+        """Building a list compares keys O(n) times, not O(n^2)."""
+        comparisons = 0
+
+        class CountingKey(str):
+            __hash__ = str.__hash__
+
+            def __eq__(self, other):
+                nonlocal comparisons
+                comparisons += 1
+                return str.__eq__(self, other)
+
+        n = 2000
+        keys = [CountingKey(f"Pole#{i}") for i in range(n)]
+        lst = ListWidget("l", items=[(k, k) for k in keys])
+        for key in keys[::7]:
+            lst.select(key)
+        lst.remove_item(keys[0])
+        assert len(lst.items) == n - 1
+        assert comparisons <= 2 * n
+
 
 class TestMenu:
     def test_activate(self):
@@ -259,9 +316,49 @@ class TestDrawingArea:
 
     def test_clear_features(self):
         area = self.make_area()
+        area.rasterize()
         area.clear_features()
         assert area.features == []
+        assert area.feature_count == 0
         assert area.data_extent().is_empty()
+        assert area.rasterize() == {}
+
+    def test_raster_shows_feature_added_after_drawing(self):
+        area = self.make_area()
+        before = area.rasterize()
+        area.add_feature("p2", Point(2, 18), "+")
+        assert area.feature_count == 3
+        after = area.rasterize()
+        assert ("+", "p2") in after.values()
+        assert after != before
+
+    def test_extent_follows_added_features(self):
+        area = self.make_area()
+        assert area.data_extent() == BBox(0, 0, 20, 20)
+        area.add_feature("far", Point(-5, 40))
+        assert area.data_extent() == BBox(-5, 0, 20, 40)
+        assert area.viewport.extent.contains_bbox(area.data_extent())
+
+    def test_mutating_rasterize_result_leaves_picks_alone(self):
+        area = self.make_area()
+        raster = area.rasterize()
+        (col, row), (__, oid) = next(iter(raster.items()))
+        raster.clear()
+        raster[(col, row)] = ("x", "ghost")
+        assert area.pick_at(col, row) == oid
+        assert area.rasterize()[(col, row)][1] == oid
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(-20, 120), st.floats(-20, 120),
+           st.floats(1, 100), st.floats(1, 100))
+    def test_point_lands_in_viewport_to_cell(self, x, y, w, h):
+        """The raster places a point in the cell Viewport.to_cell names."""
+        area = DrawingArea("map", width=23, height=7)
+        area.add_feature("p", Point(x, y), "o")
+        viewport = Viewport(BBox(0, 0, w, h), 23, 7)
+        area.set_viewport(viewport)
+        cell = viewport.to_cell(x, y)
+        assert area.rasterize() == ({} if cell is None else {cell: ("o", "p")})
 
 
 class TestDescribe:
