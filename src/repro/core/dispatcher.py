@@ -24,6 +24,7 @@ The two §3.5 claims this module realizes:
 As an extension beyond the paper (its §5 limitation), the dispatcher can
 also **refresh** open windows when committed updates touch the displayed
 class — the view-refresh behavior of Diaz et al. the paper cites as [3].
+The kernel hands it each commit's write-set (:meth:`Dispatcher.refresh`).
 """
 
 from __future__ import annotations
@@ -31,9 +32,8 @@ from __future__ import annotations
 from typing import Any
 
 from .. import obs
-from ..active.event_bus import Event, EventKind, MUTATION_KINDS
 from ..errors import DispatchError
-from ..geodb.database import GeographicDatabase
+from ..geodb.database import CommitWriteSet, GeographicDatabase, WriteOp
 from ..uilib.widgets import ListWidget, Menu, Window
 from .builder import GenericInterfaceBuilder
 from .context import Context
@@ -96,8 +96,7 @@ class Dispatcher:
                  engine: CustomizationEngine | None = None,
                  screen: Screen | None = None,
                  auto_refresh: bool = False,
-                 session_id: str | None = None,
-                 managed_refresh: bool = False):
+                 session_id: str | None = None):
         self.database = database
         self.builder = builder
         self.engine = engine
@@ -109,11 +108,6 @@ class Dispatcher:
         self.auto_refresh = auto_refresh
         #: identity stamped on every primitive event this dispatcher raises
         self.session_id = session_id
-        # A kernel-managed dispatcher does not subscribe itself: the
-        # kernel holds the single bus subscription and fans mutations out
-        # only to the sessions displaying the touched class.
-        if auto_refresh and not managed_refresh:
-            self.database.bus.subscribe(self._on_mutation, kinds=MUTATION_KINDS)
 
     # ------------------------------------------------------------------
     # The three interaction requests
@@ -330,57 +324,60 @@ class Dispatcher:
     # Extension: refresh on committed updates (Diaz et al. [3] behavior)
     # ------------------------------------------------------------------
 
-    def interested_in(self, event: Event) -> bool:
-        """Whether a committed mutation touches any window on this screen.
-
-        The kernel's fan-out uses this to refresh only the sessions
-        displaying the touched class or instance, instead of waking every
-        dispatcher for every mutation.
-        """
-        touched_class = event.payload.get("class")
-        for name, (kind, args, _context) in self._origins.items():
+    def interested_in(self, op: WriteOp) -> bool:
+        """Whether a committed row operation touches a window on screen
+        (the server's ``interest`` push test)."""
+        for name, (kind, args, _context) in list(self._origins.items()):
             if name not in self.screen:
                 continue
-            if kind == "class" and args[1] == touched_class:
+            if kind == "class" and args == (op.schema_name, op.class_name):
                 return True
-            if kind == "instance" and args[0] == event.subject:
+            if kind == "instance" and args[0] == op.oid:
                 return True
         return False
 
-    def _on_mutation(self, event: Event) -> None:
-        if event.payload.get("phase") != "commit" or not self.auto_refresh:
+    def refresh(self, ws: CommitWriteSet) -> None:
+        """Rebuild the windows one commit touched, each exactly once.
+
+        A Class-set window is rebuilt once per commit however many of
+        its rows changed; an instance window once per touched oid, or
+        closed when the commit deleted its object.
+        """
+        if not self.auto_refresh:
             return
-        touched_class = event.payload.get("class")
+        classes = ws.classes()
+        by_oid: dict[str, list[WriteOp]] = {}
+        for op in ws.ops:
+            by_oid.setdefault(op.oid, []).append(op)
         for name, (kind, args, context) in list(self._origins.items()):
             if name not in self.screen:
                 self._origins.pop(name, None)
-                continue
-            if kind == "class" and args[1] == touched_class:
+            elif kind == "class" and args in classes:
                 self.open_class(args[0], args[1], context)
-            elif kind == "instance" and args[0] == event.subject:
-                if event.kind is EventKind.DELETE:
+            elif kind == "instance" and args[0] in by_oid:
+                ops = by_oid[args[0]]
+                if ops[-1].op == "delete":
                     self.screen.close(name)
                     self._origins.pop(name, None)
                 else:
-                    overrides = self._update_overrides(event, context)
-                    self.open_instance(args[0], context,
-                                       attr_overrides=overrides)
+                    self.open_instance(
+                        args[0], context,
+                        attr_overrides=self._update_overrides(ops, context))
 
-    def _update_overrides(self, event: Event,
+    def _update_overrides(self, ops: list[WriteOp],
                           context: Context | None) -> dict | None:
         """`on update display as F`: changed attributes re-present as F."""
         if self.engine is None:
             return None
-        class_name = event.payload.get("class")
-        clause = self.engine.active_class_clause(class_name, context)
+        clause = self.engine.active_class_clause(ops[-1].class_name, context)
         if clause is None or clause.on_update_display is None:
             return None
         from .customization import AttributeCustomization
 
-        changed = event.payload.get("values") or {}
         return {
             name: AttributeCustomization(name, clause.on_update_display)
-            for name in changed
+            for op in ops if op.changed
+            for name in op.changed
         }
 
     # ------------------------------------------------------------------

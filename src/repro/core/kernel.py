@@ -19,9 +19,15 @@ Sessions created through :meth:`GISKernel.session` are lightweight: a
 :class:`~repro.core.dispatcher.Screen`, and a
 :class:`~repro.core.dispatcher.Dispatcher` stamped with a ``session_id``.
 Every primitive event a session raises carries that id, so the shared
-engine records customization decisions *per session* and the kernel can
-fan committed mutations out only to the sessions actually displaying the
-touched class.
+engine records customization decisions *per session*.
+
+Committed changes reach the sessions through one feed: the kernel's
+database write-set listener. Per commit (or replicated batch on a
+follower) it maintains the live watches, refreshes the auto-refresh
+windows that display a touched class or instance, and hands the
+write-set to change listeners such as a server's push fan-out. The
+listener is held while any session or change listener is attached, so
+a kernel nobody uses costs the commit path nothing.
 
 ``GISSession(db, ...)`` without a kernel still works — it creates a
 private single-session kernel, preserving the historical one-stack-per-
@@ -31,14 +37,14 @@ session behavior (and its engine isolation) for existing callers.
 from __future__ import annotations
 
 import itertools
+import threading
 import time
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 from .. import obs
-from ..active.event_bus import Event, MUTATION_KINDS
 from ..errors import ReplicationError, SessionError
 from ..geodb.catalog import MetadataCatalog
-from ..geodb.database import GeographicDatabase
+from ..geodb.database import CommitWriteSet, GeographicDatabase
 from ..uilib.composite import install_standard_composites
 from ..uilib.library import InterfaceObjectLibrary
 from ..uilib.presentation import PresentationRegistry
@@ -89,11 +95,14 @@ class GISKernel:
         self.query_cache = QueryResultCache(database)
         self.live = LiveQueryManager(self)
         self._sessions: dict[str, "GISSession"] = {}
+        #: post-commit consumers besides the sessions (a server's pushes)
+        self._change_listeners: list[Callable[[CommitWriteSet], None]] = []
+        #: guards the session registry and the feed attach/detach
+        self._lock = threading.Lock()
         #: read replicas: name -> (follower db, its private result cache)
         self._replicas: dict[str, tuple[GeographicDatabase,
                                         QueryResultCache]] = {}
         self._replica_rr = 0
-        self._refresh_subscribed = False
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -129,26 +138,18 @@ class GISKernel:
         if self._closed:
             raise SessionError("kernel is shut down")
         session_id = f"s{next(_session_ids)}"
-        self._sessions[session_id] = session
+        with self._lock:
+            self._sessions[session_id] = session
+            self._sync_feed()
         self._gauge_sessions()
         return session_id
 
-    def _session_ready(self, session: "GISSession") -> None:
-        """Second attach phase, once the session's dispatcher exists."""
-        if session.dispatcher.auto_refresh and not self._refresh_subscribed:
-            self.database.bus.subscribe(self._on_mutation,
-                                        kinds=MUTATION_KINDS)
-            self._refresh_subscribed = True
-
     def _detach(self, session: "GISSession") -> None:
-        self._sessions.pop(session.session_id, None)
+        with self._lock:
+            self._sessions.pop(session.session_id, None)
+            self._sync_feed()
         self.live.drop_session(session.session_id)
         self._gauge_sessions()
-        if self._refresh_subscribed and not any(
-            s.dispatcher.auto_refresh for s in self._sessions.values()
-        ):
-            self.database.bus.unsubscribe(self._on_mutation)
-            self._refresh_subscribed = False
 
     def _gauge_sessions(self) -> None:
         rec = obs.RECORDER
@@ -173,10 +174,9 @@ class GISKernel:
 
         Each call takes an independent snapshot, so concurrent sessions
         read consistent (and mutually invisible) states until commit.
-        When ``session`` is given, the commit's mutation events carry its
-        ``session_id``, and the kernel's refresh fan-out — which only
-        fires for *committed* versions (``phase="commit"``) — can route
-        session-scoped events accordingly.
+        When ``session`` is given, the commit's mutation events and its
+        write-set carry the ``session_id`` (wire ``mutation`` pushes
+        report it as ``session``).
         """
         if self._closed:
             raise SessionError("kernel is shut down")
@@ -344,22 +344,45 @@ class GISKernel:
         return directives
 
     # ------------------------------------------------------------------
-    # Mutation fan-out: refresh only the sessions that display the class
+    # The change feed: one write-set listener for every consumer
     # ------------------------------------------------------------------
 
-    def _on_mutation(self, event: Event) -> None:
-        if event.payload.get("phase") != "commit":
-            return
+    def add_change_listener(
+            self, listener: Callable[[CommitWriteSet], None]) -> None:
+        """Receive each committed write-set after the kernel's own
+        consumers (live watches, window refresh) have seen it."""
+        with self._lock:
+            if listener not in self._change_listeners:
+                self._change_listeners.append(listener)
+            self._sync_feed()
+
+    def remove_change_listener(
+            self, listener: Callable[[CommitWriteSet], None]) -> None:
+        with self._lock:
+            if listener in self._change_listeners:
+                self._change_listeners.remove(listener)
+            self._sync_feed()
+
+    def _sync_feed(self) -> None:
+        """Hold the database listener exactly while it has a consumer
+        (caller holds ``_lock``)."""
+        if not self._closed and (self._sessions or self._change_listeners):
+            self.database.add_write_set_listener(self._on_write_set)
+        else:
+            self.database.remove_write_set_listener(self._on_write_set)
+
+    def _on_write_set(self, ws: CommitWriteSet) -> None:
+        """Runs on the committing (or replica-applying) thread."""
+        self.live._on_write_set(ws)
         for session in list(self._sessions.values()):
             # A session mid-shutdown (another thread flipped _closed but
             # has not finished detaching) must not have windows reopened
             # under it — refreshing would re-register interest the close
             # path just released.
-            if session._closed:
-                continue
-            dispatcher = session.dispatcher
-            if dispatcher.auto_refresh and dispatcher.interested_in(event):
-                dispatcher._on_mutation(event)
+            if not session._closed:
+                session.dispatcher.refresh(ws)
+        for listener in list(self._change_listeners):
+            listener(ws)
 
     # ------------------------------------------------------------------
     # Introspection & lifecycle
@@ -377,7 +400,8 @@ class GISKernel:
         }
 
     def shutdown(self) -> None:
-        """End every attached session and detach from the database bus.
+        """End every attached session and release the database feed and
+        bus.
 
         Idempotent; also runs via the context manager protocol::
 
@@ -389,12 +413,11 @@ class GISKernel:
         for session in list(self._sessions.values()):
             session.shutdown()
         self.live.shutdown()
-        if self._refresh_subscribed:
-            self.database.bus.unsubscribe(self._on_mutation)
-            self._refresh_subscribed = False
+        with self._lock:
+            self._closed = True
+            self._sync_feed()
         if self._owns_engine:
             self.engine.manager.detach()
-        self._closed = True
 
     def __enter__(self) -> "GISKernel":
         return self

@@ -481,9 +481,9 @@ class LiveQueryManager:
 
     Owned by one :class:`~repro.core.kernel.GISKernel`; states are
     shared per (schema, fingerprint), so a thousand sessions watching
-    the same window cost one maintained result. The manager subscribes
-    to the database's write-set listener hook only while at least one
-    watch exists.
+    the same window cost one maintained result. The kernel's write-set
+    listener hands every commit (and every replicated batch on a
+    follower) to :meth:`_on_write_set`.
     """
 
     def __init__(self, kernel: "GISKernel"):
@@ -495,7 +495,6 @@ class LiveQueryManager:
         self._watches: dict[str, Watch] = {}
         #: server-side listeners fanning updates out over the wire
         self._listeners: list[Callable[[LiveUpdate], None]] = []
-        self._attached = False
         self._closed = False
         self.registered = 0
         self.delta_applied = 0
@@ -532,9 +531,6 @@ class LiveQueryManager:
                 state = _LiveState(schema_name, query, key)
                 self._execute_into(state)
                 self._states[key] = state
-                if not self._attached:
-                    self.database.add_write_set_listener(self._on_write_set)
-                    self._attached = True
             watch = Watch(f"w{next(_watch_ids)}", session.session_id,
                           schema_name, query, state, self, callback)
             state.watches[watch.watch_id] = watch
@@ -556,7 +552,6 @@ class LiveQueryManager:
                 state.watches.pop(watch.watch_id, None)
                 if not state.watches:
                     del self._states[state.key]
-            self._maybe_detach()
             rec = obs.RECORDER
             if rec.enabled:
                 rec.gauge("live.watches", len(self._watches))
@@ -568,11 +563,6 @@ class LiveQueryManager:
                       if w.session_id == session_id]
         for watch in doomed:
             self.unregister(watch)
-
-    def _maybe_detach(self) -> None:
-        if self._attached and not self._states:
-            self.database.remove_write_set_listener(self._on_write_set)
-            self._attached = False
 
     def add_listener(self, listener: Callable[[LiveUpdate], None]) -> None:
         """Subscribe to every delivered update (server push fan-out)."""
@@ -751,4 +741,3 @@ class LiveQueryManager:
             self._watches.clear()
             self._states.clear()
             self._listeners.clear()
-            self._maybe_detach()

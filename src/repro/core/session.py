@@ -100,20 +100,20 @@ class GISSession:
         self.presentations = kernel.presentations
         self.builder = kernel.builder
         self.screen = Screen()
-        self.session_id = kernel._attach(self)
         self.dispatcher = Dispatcher(
             database, self.builder, self.engine, self.screen,
             auto_refresh=auto_refresh,
-            session_id=self.session_id,
-            managed_refresh=True,
         )
-        kernel._session_ready(self)
         self._schema_name: str | None = None
         self.renderer = TextRenderer()
         #: LSN of this session's newest commit (0 = never committed);
         #: replica-routed queries wait for it (read-your-writes).
         self.last_commit_lsn = 0
         self._closed = False
+        # Attach last: from here on, commits on other threads reach this
+        # session through the kernel's change feed.
+        self.session_id = kernel._attach(self)
+        self.dispatcher.session_id = self.session_id
 
     # ------------------------------------------------------------------
     # Transactions
@@ -321,8 +321,8 @@ class GISSession:
         """
         if self._closed:
             return
-        # Flip the flag first: concurrent mutation fan-out (kernel or
-        # server) checks it, so no refresh can reopen a window — and
+        # Flip the flag first: the kernel's refresh and the server's
+        # pushes check it, so no refresh can reopen a window — and
         # thereby re-register interest — while we are tearing down.
         self._closed = True
         for name in list(self.screen.names()):

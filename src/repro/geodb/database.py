@@ -52,17 +52,21 @@ class WriteOp:
 
     Deliberately value-free — consumers that need the row's current
     state resolve the oid against the live extent, so the commit path
-    never copies pre/post images for observers.
+    never copies pre/post images for observers. An update also names
+    the attributes it wrote: ``changed`` is the update's own change
+    mapping, held by reference and read only for its keys.
     """
 
-    __slots__ = ("op", "schema_name", "class_name", "oid")
+    __slots__ = ("op", "schema_name", "class_name", "oid", "changed")
 
     def __init__(self, op: str, schema_name: str, class_name: str,
-                 oid: str):
+                 oid: str, changed: dict[str, Any] | None = None):
         self.op = op                  # "insert" | "update" | "delete"
         self.schema_name = schema_name
         self.class_name = class_name
         self.oid = oid
+        #: an update's change mapping, read for its keys (None otherwise)
+        self.changed = changed if op == "update" else None
 
     def __repr__(self) -> str:          # pragma: no cover - debug aid
         return (f"WriteOp({self.op} {self.schema_name}.{self.class_name}"
@@ -72,22 +76,29 @@ class WriteOp:
 class CommitWriteSet:
     """The structured write-set of one committed transaction.
 
-    Built inside the commit critical section (so ``prev_versions`` is
-    exactly the per-class commit version each touched class had *before*
-    this commit bumped it to ``commit_ts``) and handed to write-set
-    listeners after the durability wait, on the committing thread.
-    Delta maintainers use ``prev_versions`` to decide whether a cached
-    result is contiguous with this commit or has missed one in between.
+    The database's only post-commit change feed for views: live-query
+    maintenance, window auto-refresh and wire pushes all read it. Built
+    inside the commit critical section (so ``prev_versions`` is exactly
+    the per-class commit version each touched class had *before* this
+    commit bumped it to ``commit_ts``) and handed to write-set listeners
+    after the durability wait, on the committing thread. A follower
+    builds one per replicated batch the same way. Delta maintainers use
+    ``prev_versions`` to decide whether a cached result is contiguous
+    with this commit or has missed one in between.
     """
 
-    __slots__ = ("commit_ts", "ops", "prev_versions")
+    __slots__ = ("commit_ts", "ops", "prev_versions", "session_id")
 
     def __init__(self, commit_ts: int, ops: list[WriteOp],
-                 prev_versions: dict[tuple[str, str], int]):
+                 prev_versions: dict[tuple[str, str], int],
+                 session_id: str | None = None):
         self.commit_ts = commit_ts
         self.ops = ops
         #: (schema, class) -> class version immediately before this commit
         self.prev_versions = prev_versions
+        #: the committing transaction's session (None: no session, or a
+        #: replicated batch)
+        self.session_id = session_id
 
     def classes(self) -> set[tuple[str, str]]:
         return set(self.prev_versions)
@@ -322,8 +333,10 @@ class GeographicDatabase:
 
         Listeners run on the committing thread after the durability
         wait, before the post-commit event-bus publish — commit order is
-        delivery order. Capture is only performed while at least one
-        listener is registered, so an idle database pays nothing.
+        delivery order. A follower delivers each replicated batch the
+        same way, on the thread that applied it. Capture is only
+        performed while at least one listener is registered, so an idle
+        database pays nothing.
         """
         if listener not in self._write_set_listeners:
             self._write_set_listeners.append(listener)
@@ -1041,15 +1054,24 @@ class GeographicDatabase:
                     [_Intent(doc["op"], doc["schema"], doc["class"],
                              doc["oid"], None) for doc in intent_docs],
                 )
+            write_set_delta = None
+            if intent_docs and self._write_set_listeners:
+                write_set_delta = self._capture_write_set(lsn, [
+                    WriteOp(doc["op"], doc["schema"], doc["class"],
+                            doc["oid"], doc["values"])
+                    for doc in intent_docs
+                ])
             self._mutation_seq += 1
             try:
                 self._replay_batch(records, lsn)
             finally:
                 self._mutation_seq += 1
             self._applied_batches += 1
-        # Post-apply events mirror the leader's post-commit phase, so a
-        # kernel serving sessions off this follower fans out refreshes
-        # and invalidates caches exactly like on the leader.
+        # Post-apply delivery mirrors the leader's post-commit phase, so
+        # a kernel serving sessions off this follower maintains watches,
+        # refreshes windows and pushes exactly like on the leader.
+        if write_set_delta is not None:
+            self._deliver_write_set(write_set_delta)
         for doc in intent_docs:
             self.bus.publish(
                 Event(
@@ -1309,15 +1331,15 @@ class GeographicDatabase:
             if ticket is not None and wait_durable:
                 self.wal.wait_durable(ticket)
                 ticket = None
-            # Write-set listeners (live query maintenance) run before
-            # the bus publish so a rule reacting to the commit already
-            # observes delta-maintained standing results.
+            # Write-set listeners (live query maintenance, window
+            # refresh, wire pushes) run before the bus publish so a rule
+            # reacting to the commit already observes delta-maintained
+            # standing results.
             if write_set_delta is not None:
-                for listener in list(self._write_set_listeners):
-                    listener(write_set_delta)
-            # Phase 5: post-commit events for customization/refresh rules.
-            # Outside the commit lock: subscribers only ever observe fully
-            # committed versions, and refresh fan-out must not extend the
+                self._deliver_write_set(write_set_delta)
+            # Phase 5: post-commit events for the active rules. Outside
+            # the commit lock: subscribers only ever observe fully
+            # committed versions, and the fan-out must not extend the
             # critical section other writers serialize on.
             for intent in intents:
                 self.bus.publish(
@@ -1462,17 +1484,11 @@ class GeographicDatabase:
             if write_set:
                 self._commit_log.append((commit_ts, write_set))
                 if self._write_set_listeners:
-                    prev_versions: dict[tuple[str, str], int] = {}
-                    for intent in intents:
-                        key = (intent.schema_name, intent.class_name)
-                        if key not in prev_versions:
-                            prev_versions[key] = \
-                                self._class_versions.get(key, 0)
-                    write_set_delta = CommitWriteSet(
+                    write_set_delta = self._capture_write_set(
                         commit_ts,
-                        [WriteOp(i.op, i.schema_name, i.class_name, i.oid)
-                         for i in intents],
-                        prev_versions,
+                        [WriteOp(i.op, i.schema_name, i.class_name, i.oid,
+                                 i.values) for i in intents],
+                        txn.session_id,
                     )
                 for intent in intents:
                     self._class_versions[
@@ -1484,6 +1500,24 @@ class GeographicDatabase:
         finally:
             self._mutation_seq += 1
         return commit_ts, ticket, write_set_delta
+
+    def _capture_write_set(self, commit_ts: int, ops: list[WriteOp],
+                           session_id: str | None = None) -> CommitWriteSet:
+        """Package ``ops`` with the class versions they move *from*.
+
+        Caller holds the commit lock and has not yet bumped the touched
+        classes' versions to ``commit_ts``.
+        """
+        prev_versions: dict[tuple[str, str], int] = {}
+        for op in ops:
+            key = (op.schema_name, op.class_name)
+            if key not in prev_versions:
+                prev_versions[key] = self._class_versions.get(key, 0)
+        return CommitWriteSet(commit_ts, ops, prev_versions, session_id)
+
+    def _deliver_write_set(self, write_set: CommitWriteSet) -> None:
+        for listener in list(self._write_set_listeners):
+            listener(write_set)
 
     def _conflicting_oids(self, snapshot_ts: int,
                           write_set: frozenset[str]) -> set[str]:

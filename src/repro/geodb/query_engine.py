@@ -245,17 +245,7 @@ class QueryEngine:
                 matches.extend(objects[i] for i in row_sel)
             else:
                 matches.extend(part[1])
-        if query.aggregates:
-            # aggregates reduce the full matching set; limit is moot
-            rows = [self._aggregate(matches, geo_class, query)]
-            report["matches"] = len(matches)
-            return QueryResult(query, matches, rows, report)
-        matches = self._order(matches, geo_class, query)
-        if query.limit is not None:
-            matches = matches[: query.limit]
-        rows = self._project(matches, geo_class, query)
-        report["matches"] = len(matches)
-        return QueryResult(query, matches, rows, report)
+        return self.shape_rows(query, geo_class, matches, report)
 
     def _column_select(self, schema_name: str, class_plan: ClassPlan,
                        equality, query: Query, geo_class: GeoClass,
@@ -547,6 +537,22 @@ class QueryEngine:
         }
 
     # -- shaping ---------------------------------------------------------------
+
+    def shape_rows(self, query: Query, geo_class: GeoClass,
+                   matches: list[GeoObject],
+                   report: dict[str, Any]) -> QueryResult:
+        """The row-path result of a filtered match list: one aggregate
+        row, or the ordered, limited and projected matches."""
+        if query.aggregates:
+            # aggregates reduce the full matching set; limit is moot
+            rows = [self._aggregate(matches, geo_class, query)]
+        else:
+            matches = self._order(matches, geo_class, query)
+            if query.limit is not None:
+                matches = matches[: query.limit]
+            rows = self._project(matches, geo_class, query)
+        report["matches"] = len(matches)
+        return QueryResult(query, matches, rows, report)
 
     def _order(self, matches: list[GeoObject], geo_class: GeoClass,
                query: Query) -> list[GeoObject]:

@@ -29,7 +29,7 @@ from typing import Any, Iterator
 from ..errors import ObjectNotFoundError, SessionError
 from .instances import GeoObject, fresh_oid
 from .query import Query
-from .query_engine import QueryResult
+from .query_engine import QueryEngine, QueryResult
 
 
 class Scenario:
@@ -157,17 +157,11 @@ class Scenario:
         candidates: list[GeoObject] = []
         for name in class_names:
             candidates.extend(self.extent(name))
-        matches = [o for o in candidates if query.where.matches(o, geo_class)]
-        from .query_engine import QueryEngine
-
-        engine = QueryEngine(self.database)
-        matches = engine._order(matches, geo_class, query)
-        if query.limit is not None:
-            matches = matches[: query.limit]
-        rows = engine._project(matches, geo_class, query)
+        matches = list(filter(query.where.compile(geo_class), candidates))
         report = {"plan": "scenario-scan", "index": None,
-                  "candidates": len(candidates), "matches": len(matches)}
-        return QueryResult(query, matches, rows, report)
+                  "candidates": len(candidates)}
+        return QueryEngine(self.database).shape_rows(query, geo_class,
+                                                     matches, report)
 
     def run_query(self, text: str) -> QueryResult:
         """Textual analysis query evaluated in the hypothetical world."""

@@ -7,7 +7,8 @@ Every frame on the wire is one of three envelopes:
   correlated by ``id``; ``ok: false`` carries ``error`` (message) and
   ``code`` (the server-side error class name, e.g. ``"SchemaError"``);
 * **push** — ``{"push": <str>, ...fields}``, server → client, unsolicited
-  (no ``id``): the kernel's mutation fan-out delivered to subscribers.
+  (no ``id``): committed row operations and live-query updates from the
+  kernel's change feed, delivered to the connections that want them.
 
 Each request kind has a :class:`Contract` naming its required and
 optional fields with their JSON types. Validation happens *before* the

@@ -29,6 +29,7 @@ from .. import obs
 from ..errors import ProtocolError, ReproError, SessionError
 from ..core.kernel import GISKernel
 from ..core.session import GISSession
+from ..geodb.database import CommitWriteSet
 from . import contracts
 from .contracts import make_response
 
@@ -425,41 +426,47 @@ class Router:
     # Push fan-out
     # ------------------------------------------------------------------
 
-    def pushes_for(self, state: ClientState, event) -> list[dict[str, Any]]:
-        """The push frames a committed mutation owes this connection.
+    def pushes_for(self, state: ClientState,
+                   ws: CommitWriteSet) -> list[dict[str, Any]]:
+        """The ``mutation`` push frames a committed write-set owes this
+        connection: one per row operation the connection hears about.
 
-        A connection hears about a mutation through either channel:
+        A connection hears about an operation through either channel:
 
         * an explicit class subscription (``subscribe``), or
         * a session it holds whose dispatcher is *interested* — the same
-          ``auto_refresh`` + open-window test the kernel's in-process
-          fan-out uses, so remote clients see exactly the refreshes a
-          local screen would.
+          ``auto_refresh`` + open-window test the kernel's window refresh
+          uses, so remote clients see exactly the refreshes a local
+          screen would.
         """
-        touched = event.payload.get("class")
-        reasons = []
-        if (ALL_CLASSES in state.subscriptions
-                or touched in state.subscriptions):
-            reasons.append("subscription")
-        interested = [
-            sid for sid, session in state.sessions.items()
-            if not session._closed
-            and session.dispatcher.auto_refresh
-            and session.dispatcher.interested_in(event)
+        sessions = [
+            (sid, session.dispatcher)
+            for sid, session in state.sessions.items()
+            if not session._closed and session.dispatcher.auto_refresh
         ]
-        if interested:
-            reasons.append("interest")
-        if not reasons:
+        if not state.subscriptions and not sessions:
             return []
-        return [contracts.make_push(
-            "mutation",
-            kind=event.kind.value,
-            **{"class": touched},
-            oid=event.subject,
-            session=event.session_id,
-            sessions=interested,
-            reason=reasons[0],
-        )]
+        everything = ALL_CLASSES in state.subscriptions
+        pushes = []
+        for op in ws.ops:
+            reason = ("subscription" if everything
+                      or op.class_name in state.subscriptions else None)
+            interested = [sid for sid, dispatcher in sessions
+                          if dispatcher.interested_in(op)]
+            if interested and reason is None:
+                reason = "interest"
+            if reason is None:
+                continue
+            pushes.append(contracts.make_push(
+                "mutation",
+                kind=op.op,
+                **{"class": op.class_name},
+                oid=op.oid,
+                session=ws.session_id,
+                sessions=interested,
+                reason=reason,
+            ))
+        return pushes
 
     def live_pushes_for(self, state: ClientState,
                         update) -> list[dict[str, Any]]:

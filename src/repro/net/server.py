@@ -6,7 +6,7 @@ Architecture (one box per layer, matching the module split)::
                                                       │
     socket bytes ◄── outbound queue ◄── Router.handle ┴─► GISKernel
                         ▲
-                        └── push fan-out (event bus, commit phase)
+                        └── push fan-out (kernel change feed)
 
 Concurrency model:
 
@@ -19,9 +19,11 @@ Concurrency model:
   connection's requests stay serial (its reader awaits each response),
   and — crucially — concurrent connections' commit fsyncs land in the
   WAL's **group commit** barrier together instead of serializing.
-* Push fan-out: the server holds *one* event-bus subscription. Commit
-  callbacks arrive on whatever thread committed; they hop onto the loop
-  with ``call_soon_threadsafe`` and enqueue per-connection pushes.
+* Push fan-out: the server is *one* listener on the kernel's change
+  feed (the commit write-set). Each committed write-set arrives on the
+  thread that committed it, after the kernel refreshed its windows, and
+  hops onto the loop with one ``call_soon_threadsafe``; the loop then
+  enqueues the per-connection pushes.
 
 Backpressure: responses use a blocking ``queue.put`` (the connection's
 own reader waits — that is the backpressure). Pushes use ``put_nowait``;
@@ -43,8 +45,8 @@ import threading
 from typing import Any
 
 from .. import obs
-from ..active.event_bus import Event, MUTATION_KINDS
 from ..core.kernel import GISKernel
+from ..geodb.database import CommitWriteSet
 from ..errors import NetError, ProtocolError
 from . import protocol
 from .contracts import make_error
@@ -115,22 +117,21 @@ class GISServer:
     # ------------------------------------------------------------------
 
     async def start(self) -> None:
-        """Bind the listening socket and subscribe to the mutation bus."""
+        """Bind the listening socket and join the kernel's change feed."""
         self._loop = asyncio.get_running_loop()
         self._server = await asyncio.start_server(
             self._serve_connection, self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
         if not self._subscribed:
-            self.kernel.database.bus.subscribe(self._on_mutation,
-                                               kinds=MUTATION_KINDS)
+            self.kernel.add_change_listener(self._on_write_set)
             self.kernel.live.add_listener(self._on_live_update)
             self._subscribed = True
 
     async def stop(self) -> None:
-        """Stop accepting, drop every connection, release the bus."""
+        """Stop accepting, drop every connection, leave the change feed."""
         if self._subscribed:
-            self.kernel.database.bus.unsubscribe(self._on_mutation)
+            self.kernel.remove_change_listener(self._on_write_set)
             self.kernel.live.remove_listener(self._on_live_update)
             self._subscribed = False
         if self._server is not None:
@@ -305,45 +306,30 @@ class GISServer:
     # Push fan-out
     # ------------------------------------------------------------------
 
-    def _on_mutation(self, event: Event) -> None:
-        """Event-bus callback; runs on the committing thread."""
-        if event.payload.get("phase") != "commit":
-            return
-        loop = self._loop
-        if loop is None or loop.is_closed():
-            return
-        try:
-            loop.call_soon_threadsafe(self._fan_out, event)
-        except RuntimeError:    # loop shut down between check and call
-            return
-
-    def _fan_out(self, event: Event) -> None:
-        """Loop-side: enqueue push frames for interested connections."""
-        for conn in list(self._connections):
-            if conn.closing:
-                continue
-            self._enqueue_pushes(
-                conn, self.router.pushes_for(conn.state, event),
-                "net.push.events")
+    def _on_write_set(self, ws: CommitWriteSet) -> None:
+        """Change-feed listener; runs on the committing thread."""
+        self._to_loop(self.router.pushes_for, ws, "net.push.events")
 
     def _on_live_update(self, update) -> None:
         """Live-query manager listener; runs on the committing thread."""
+        self._to_loop(self.router.live_pushes_for, update, "net.push.live")
+
+    def _to_loop(self, route, change, metric: str) -> None:
+        """Hop one committed change onto the loop for :meth:`_fan_out`."""
         loop = self._loop
         if loop is None or loop.is_closed():
             return
         try:
-            loop.call_soon_threadsafe(self._fan_out_live, update)
+            loop.call_soon_threadsafe(self._fan_out, route, change, metric)
         except RuntimeError:    # loop shut down between check and call
             return
 
-    def _fan_out_live(self, update) -> None:
-        """Loop-side: route one result change to its watching connection."""
+    def _fan_out(self, route, change, metric: str) -> None:
+        """Loop-side: enqueue the push frames ``route`` says each open
+        connection is owed for ``change``."""
         for conn in list(self._connections):
-            if conn.closing:
-                continue
-            self._enqueue_pushes(
-                conn, self.router.live_pushes_for(conn.state, update),
-                "net.push.live")
+            if not conn.closing:
+                self._enqueue_pushes(conn, route(conn.state, change), metric)
 
     def _enqueue_pushes(self, conn: _Connection,
                         pushes: list[dict[str, Any]], metric: str) -> None:

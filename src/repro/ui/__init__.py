@@ -1,6 +1,5 @@
-"""GIS user interface layer: MVC plumbing, interaction driver, inspection."""
+"""GIS user interface layer: interaction driver and window inspection."""
 
-from .mvc import ChangeNotice, ModelObserver
 from .interaction import (
     InteractionScript,
     Step,
@@ -18,7 +17,6 @@ from .windows import (
 )
 
 __all__ = [
-    "ModelObserver", "ChangeNotice",
     "InteractionScript", "Step", "StepResult",
     "paper_walkthrough_script", "random_browse_script",
     "WindowSummary", "summarize_window", "class_window_areas",

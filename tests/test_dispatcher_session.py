@@ -222,6 +222,7 @@ class TestSessionLifecycle:
         subscribers_before = (
             len(phone_db.bus._all)
             + sum(len(v) for v in phone_db.bus._by_kind.values()))
+        feed_before = list(phone_db._write_set_listeners)
         session = GISSession(phone_db, user="u", application="a",
                              auto_refresh=True)
         session.connect("phone_net")
@@ -230,6 +231,7 @@ class TestSessionLifecycle:
             len(phone_db.bus._all)
             + sum(len(v) for v in phone_db.bus._by_kind.values()))
         assert subscribers_after == subscribers_before
+        assert phone_db._write_set_listeners == feed_before
         assert len(session.screen) == 0
         session.shutdown()   # idempotent
 

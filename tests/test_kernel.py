@@ -2,8 +2,8 @@
 
 One :class:`~repro.core.kernel.GISKernel` owns the read-mostly stack
 (library, engine, builder); sessions hold only per-user state. Events
-carry a ``session_id``, decisions are recorded per session, and mutation
-refresh fans out only to the sessions displaying the touched class.
+carry a ``session_id``, decisions are recorded per session, and window
+refresh reaches only the sessions displaying the touched class.
 """
 
 import pytest
@@ -11,6 +11,7 @@ import pytest
 from repro.active.event_bus import Event, EventKind
 from repro.core import Context, GISKernel, GISSession
 from repro.errors import SessionError
+from repro.geodb.database import WriteOp
 from repro.lang import FIGURE_6_PROGRAM
 from repro.spatial import Point
 from repro.workloads import build_phone_net_database
@@ -48,6 +49,7 @@ class TestKernelLifecycle:
     def test_kernel_shutdown_closes_sessions_and_bus(self, phone_db):
         before_all = len(phone_db.bus._all)
         before_kinds = sum(len(v) for v in phone_db.bus._by_kind.values())
+        before_feed = list(phone_db._write_set_listeners)
         kernel = GISKernel(phone_db)
         a = kernel.session(user="ana", auto_refresh=True)
         a.connect("phone_net")
@@ -57,6 +59,7 @@ class TestKernelLifecycle:
         assert len(phone_db.bus._all) == before_all
         assert sum(len(v) for v in phone_db.bus._by_kind.values()) == \
             before_kinds
+        assert phone_db._write_set_listeners == before_feed
         kernel.shutdown()  # idempotent
 
     def test_attach_after_shutdown_rejected(self, phone_db):
@@ -182,12 +185,10 @@ class TestMutationFanOut:
         session = kernel.session(user="ana", auto_refresh=True)
         session.connect("phone_net")
         session.select_class("Pole")
-        pole_event = Event(kind=EventKind.INSERT, subject="Pole",
-                           payload={"class": "Pole", "phase": "commit"})
-        duct_event = Event(kind=EventKind.INSERT, subject="Duct",
-                           payload={"class": "Duct", "phase": "commit"})
-        assert session.dispatcher.interested_in(pole_event)
-        assert not session.dispatcher.interested_in(duct_event)
+        pole_op = WriteOp("insert", "phone_net", "Pole", "Pole#new")
+        duct_op = WriteOp("insert", "phone_net", "Duct", "Duct#new")
+        assert session.dispatcher.interested_in(pole_op)
+        assert not session.dispatcher.interested_in(duct_op)
 
 
 class TestKernelObservability:

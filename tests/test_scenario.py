@@ -77,6 +77,22 @@ class TestHypotheticalReads:
             "select * from Pole where pole_type = 77")
         assert result.oids() == [pole_oid]
 
+    @pytest.mark.parametrize("text", [
+        "select count(*) from Pole",
+        "select count(*), max(pole_type) from Pole where pole_type >= 1",
+    ])
+    def test_aggregates_match_the_engine_on_an_empty_overlay(
+            self, phone_db, scenario, text):
+        from repro.geodb import QueryEngine
+        from repro.geodb.query_language import parse_query
+
+        expected = QueryEngine(phone_db).execute("phone_net",
+                                                 parse_query(text))
+        got = scenario.run_query(text)
+        assert expected.rows[0]["count(*)"] > 0
+        assert got.rows == expected.rows
+        assert sorted(got.oids()) == sorted(expected.oids())
+
 
 class TestResolution:
     def test_discard_never_touches_base(self, phone_db, scenario):

@@ -1,62 +1,15 @@
-"""Unit tests for the UI layer: MVC observer and the interaction driver."""
+"""Unit tests for the UI layer: the interaction driver and inspection."""
 
 import pytest
 
 from repro.core import GISSession
 from repro.errors import SessionError
-from repro.spatial import Point
 from repro.ui import (
     InteractionScript,
-    ModelObserver,
     paper_walkthrough_script,
     random_browse_script,
     summarize_window,
 )
-
-
-class TestModelObserver:
-    def test_watch_class(self, phone_db):
-        observer = ModelObserver(phone_db)
-        notices = []
-        observer.watch_class("Pole", notices.append)
-        phone_db.insert("phone_net", "Pole",
-                        {"pole_location": Point(1, 1)})
-        phone_db.insert("phone_net", "Duct", {
-            "duct_path": __import__("repro.spatial", fromlist=["LineString"])
-            .LineString([(0, 0), (1, 1)])})
-        assert len(notices) == 1
-        assert notices[0].op == "insert"
-        assert notices[0].class_name == "Pole"
-
-    def test_watch_object(self, phone_db, pole_oid):
-        observer = ModelObserver(phone_db)
-        notices = []
-        observer.watch_object(pole_oid, notices.append)
-        phone_db.update(pole_oid, {"pole_historic": "x"})
-        other = phone_db.extent("phone_net", "Pole").oids()[1]
-        phone_db.update(other, {"pole_historic": "y"})
-        assert len(notices) == 1
-        assert notices[0].oid == pole_oid
-        assert notices[0].op == "update"
-
-    def test_unwatch(self, phone_db, pole_oid):
-        observer = ModelObserver(phone_db)
-        notices = []
-        registration = observer.watch_object(pole_oid, notices.append)
-        observer.unwatch(registration)
-        phone_db.update(pole_oid, {"pole_historic": "x"})
-        assert notices == []
-        assert observer.registration_count == 0
-
-    def test_validate_phase_not_notified(self, phone_db):
-        """Only committed changes reach views — vetoed ones never do."""
-        observer = ModelObserver(phone_db)
-        notices = []
-        observer.watch_class("Pole", notices.append)
-        txn = phone_db.transaction()
-        txn.insert("phone_net", "Pole", {"pole_location": Point(1, 1)})
-        txn.abort()
-        assert notices == []
 
 
 class TestInteractionScript:
