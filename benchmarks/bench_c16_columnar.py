@@ -7,9 +7,10 @@ column caches stamped with the class commit version
 positions without materializing objects, columnar ordering /
 aggregation / projection, and STR bulk loading
 (:meth:`~repro.spatial.rtree.RTree.bulk_load`) wherever R-trees rebuild
-wholesale. This experiment prices the new path against the engine's own
-row path (``use_columns=False`` — the exact pre-PR execution) on a
-phone-net database sized so scans dominate:
+wholesale. This experiment prices the columnar selection against the
+engine's own row path (``use_columns=False``: per-object compiled
+refine, the matches then shaped by the same column shaper every route
+uses) on a phone-net database sized so scans dominate:
 
 * **cold mix** — a scan-heavy filter/aggregate mix (selective filters,
   conjunctions, a dotted-path refine, aggregates, order+limit, a

@@ -59,7 +59,8 @@ from ..errors import SessionError
 from ..geodb.database import CommitWriteSet, GeographicDatabase, WriteOp
 from ..geodb.instances import GeoObject
 from ..geodb.query import MISSING, Query, compile_path
-from ..geodb.query_engine import QueryEngine, QueryResult
+from ..geodb.query_engine import (QueryEngine, QueryResult,
+                                  finalize_aggregate)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle with kernel/session
     from .kernel import GISKernel
@@ -448,32 +449,16 @@ class _LiveState:
     def _aggregate_row(self) -> dict[str, Any]:
         """Recombine the per-object contributions into one row.
 
-        Matches :meth:`QueryEngine._aggregate` exactly, including the
-        SQL-style empty-input conventions. (Float ``sum``/``avg`` are
-        recombined over the contribution set, so with non-associative
-        float addition the last bits may differ from one specific
-        execution order; integer attributes are exact.)
+        Finalized by the engine's :func:`finalize_aggregate` — the same
+        SQL-style empty-input rules and order-independent float sums —
+        so the row equals a fresh execution's exactly.
         """
-        row: dict[str, Any] = {}
-        for (op, path, label, _accessor), contrib in zip(self.agg_specs,
-                                                         self.contribs):
-            if op == "count" and path is None:
-                row[label] = len(self.membership)
-                continue
-            values = contrib.values()
-            if op == "count":
-                row[label] = len(values)
-            elif not values:
-                row[label] = None
-            elif op == "min":
-                row[label] = min(values)
-            elif op == "max":
-                row[label] = max(values)
-            elif op == "sum":
-                row[label] = sum(values)
-            else:   # avg
-                row[label] = sum(values) / len(values)
-        return row
+        return {
+            label: (len(self.membership) if op == "count" and path is None
+                    else finalize_aggregate(op, contrib.values()))
+            for (op, path, label, _accessor), contrib in zip(self.agg_specs,
+                                                             self.contribs)
+        }
 
 
 class LiveQueryManager:

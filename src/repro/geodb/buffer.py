@@ -101,8 +101,15 @@ class BufferManager:
     # -- pager-compatible interface -------------------------------------------
 
     def read_page(self, page_no: int) -> bytes:
-        frame = self._get_frame(page_no)
-        return frame.data
+        # The hit is served inline, so the hot path is one Python call
+        # (``in`` + subscript beat a ``.get`` method call here).
+        if page_no in self._frames:
+            self.stats.hits += 1
+            if obs.RECORDER.enabled:
+                obs.RECORDER.inc("buffer.hits")
+            self._promote(page_no)
+            return self._frames[page_no].data
+        return self._get_frame(page_no).data
 
     def write_page(self, page_no: int, data: bytes) -> None:
         frame = self._frames.get(page_no)

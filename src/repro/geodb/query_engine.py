@@ -14,33 +14,39 @@ The engine evaluates a :class:`repro.geodb.query.Query` against a
    and every candidate — batch-fetched from its class extent, not
    resolved oid-by-oid — is checked against it. Browse queries
    (``TruePredicate``) skip the refine loop entirely.
-3. **Shape** — ordering, limiting and projection/aggregation, all
-   through the same compiled accessors.
+3. **Shape** — ordering, limiting and projection/aggregation, in one
+   shaper that reads columns (:meth:`QueryEngine._shape_columns`).
 
-Full and hash scans additionally run **columnar** when the class's
-version-stamped column snapshot (:mod:`repro.geodb.columns`) is fresh:
-the predicate compiles to a fused column kernel
+Every selection reaches the shaper as a list of ``(columns, selected
+row positions)`` parts, one per closure class (or shard). Full and hash
+scans select **columnar** when the class's version-stamped column
+snapshot (:mod:`repro.geodb.columns`) is fresh: the predicate compiles
+to a fused column kernel
 (:meth:`~repro.geodb.query.Predicate.compile_columns`) that selects row
-positions without touching a single :class:`GeoObject`, and shaping
-reads the columns directly, constructing objects only for survivors.
-The engine always answers at the **latest committed state** — MVCC
-snapshot readers and mid-transaction overlays resolve through
-``Transaction.query``/``read`` and never reach this module — so the
-only runtime hazards are a mid-apply commit (the seqlock makes the
-build bail out) and index scans (whose candidates come from the
-R-tree); both fall back to the row path, recorded truthfully in the
-per-class plan report (``columns: true/false`` plus a reason).
+positions without touching a single :class:`GeoObject`. Everything
+else — index scans (whose candidates come from the R-tree), a
+mid-apply commit (the seqlock makes the build bail out), an engine
+built with ``use_columns=False`` and :meth:`QueryEngine.shape_rows`
+callers — refines row by row with the compiled closure and wraps the
+matches in a transient, unversioned column batch, so one set of
+ordering, aggregate and projection rules answers every route. The
+per-class plan report records which selection ran (``columns:
+true/false`` plus a reason). The engine always answers at the **latest
+committed state** — MVCC snapshot readers and mid-transaction overlays
+resolve through ``Transaction.query``/``read`` and never reach this
+module.
 
 When a closure class's extent is partitioned into shards
 (:meth:`~repro.geodb.database.GeographicDatabase.shard_extent`), the
 engine switches to **scatter-gather**: the planner prunes the shard set
 against the query's spatial prefilter
 (:meth:`~repro.geodb.planner.QueryPlanner.plan_scatter`), each live
-shard runs as an independent sub-query (sequentially, or on a thread
-pool when ``scatter_workers`` is set), and the per-shard results are
-gathered — ordered queries by a k-way merge of locally sorted runs,
-aggregates by combining per-shard partial states — so the shaped result
-is byte-identical to the single-extent path's.
+shard selects independently (sequentially, or on a thread pool when
+``scatter_workers`` is set) and returns a part, and the gather is the
+same shaper over all parts — one sort on the total order ``(value is
+None, value, oid)`` and one aggregate whose float sums are correctly
+rounded (:func:`finalize_aggregate`) — so the result is identical to
+the single-extent path's.
 
 The returned :class:`QueryResult` carries the rows plus an execution
 report (overall plan, truthful per-class plan list, candidates
@@ -51,18 +57,58 @@ the CLI ``query`` command and benchmarks C5/C11/C13.
 from __future__ import annotations
 
 import heapq
+import math
 from concurrent.futures import ThreadPoolExecutor
 from itertools import repeat
 from typing import Any
 
 from .. import obs
 from ..errors import QueryError
+from .columns import ClassColumns
 from .database import GeographicDatabase
 from .instances import GeoObject
 from .planner import (FULL_SCAN, HASH_SCAN, INDEX_SCAN, SCATTER, ClassPlan,
                       QueryPlanner, ShardPlan)
 from .query import MISSING, Query, compile_path, match_all
 from .schema import GeoClass
+
+
+def finalize_aggregate(op: str, values) -> Any:
+    """One aggregate over the non-null values of a path, SQL-style.
+
+    ``count`` counts the values; ``min``/``max``/``sum``/``avg`` yield
+    ``None`` on empty input. A float sum is computed with
+    :func:`math.fsum` — correctly rounded, so independent of the order
+    the values arrive in (extent order, shard order, a live watch's
+    contribution map); integer sums stay plain ``sum`` and keep their
+    type. The one statement of these rules for the engine's shaper and
+    live-query recombination.
+    """
+    if op == "count":
+        return len(values)
+    if not values:
+        return None
+    if op == "min":
+        return min(values)
+    if op == "max":
+        return max(values)
+    total = sum(values)
+    if isinstance(total, float):
+        total = math.fsum(values)
+    return total if op == "sum" else total / len(values)
+
+
+def _row_part(objects, matcher) -> tuple:
+    """Row-refined candidates as a shaping part.
+
+    The matches are wrapped in a transient, unversioned column batch
+    (never cached) that selects every row, so the row routes shape
+    through the same code as column snapshots. ``filter`` keeps the
+    per-candidate loop in C.
+    """
+    matches = list(objects) if matcher is match_all \
+        else list(filter(matcher, objects))
+    return ClassColumns("", "", -1, matches), range(len(matches))
 
 
 class QueryResult:
@@ -197,110 +243,80 @@ class QueryEngine:
             for class_name in closure if class_name not in sharded
         ]
         matcher = self._compile(query, geo_class)
+        parts: list[tuple] = []
+        candidates = 0
+        for class_plan in plans:
+            part, examined = self._select(schema_name, class_plan, prefilter,
+                                          equality, query, geo_class, matcher)
+            parts.append(part)
+            candidates += examined
         if shard_plans:
             return self._execute_scatter(schema_name, geo_class, query,
-                                         plans, shard_plans, prefilter,
-                                         equality, matcher)
+                                         plans, shard_plans, parts,
+                                         candidates, matcher)
+        return self._shape_columns(query, geo_class, parts,
+                                   self._report(plans, candidates))
 
-        candidates = 0
-        #: per-plan outcome, in plan order — ("cols", columns, selected
-        #: row positions) or ("rows", matched objects)
-        parts: list[tuple] = []
-        all_columns = True
-        for class_plan in plans:
-            selected = self._column_select(schema_name, class_plan,
-                                           equality, query, geo_class,
-                                           matcher)
-            if selected is not None:
-                columns, row_sel, examined = selected
-                candidates += examined
-                parts.append(("cols", columns, row_sel))
-                continue
-            all_columns = False
-            objects = self._class_candidates(schema_name, class_plan,
-                                             prefilter, equality)
-            candidates += len(objects)
-            if matcher is match_all:
-                parts.append(("rows", list(objects)))
-            else:
-                # filter() keeps the per-candidate loop in C.
-                parts.append(("rows", list(filter(matcher, objects))))
+    def _select(self, schema_name: str, class_plan: ClassPlan, prefilter,
+                equality, query: Query, geo_class: GeoClass, matcher):
+        """Run one class plan's selection as a shaping part.
 
-        report = self._report(plans, candidates)
-        if all_columns:
-            # Every class went columnar: shape directly over columns,
-            # constructing objects only for surviving rows.
-            return self._shape_columns(
-                query, geo_class,
-                [(columns, row_sel) for __, columns, row_sel in parts],
-                report)
-
-        # Mixed (or pure-row) closure: materialize columnar survivors
-        # into the match list and shape through the row path.
-        matches: list[GeoObject] = []
-        for part in parts:
-            if part[0] == "cols":
-                __, columns, row_sel = part
-                objects = columns.objects
-                matches.extend(objects[i] for i in row_sel)
-            else:
-                matches.extend(part[1])
-        return self.shape_rows(query, geo_class, matches, report)
-
-    def _column_select(self, schema_name: str, class_plan: ClassPlan,
-                       equality, query: Query, geo_class: GeoClass,
-                       matcher):
-        """Run one class plan's selection over its column snapshot.
-
-        Returns ``(columns, selected row positions, candidates
-        examined)``, or ``None`` after downgrading the plan to the row
-        path — ``class_plan.columns``/``columns_reason`` always end up
+        Returns ``((columns, selected row positions), candidates
+        examined)``. Full and hash scans select over the class's column
+        snapshot; index scans, and plans the snapshot cannot serve,
+        row-refine the planned candidates into a transient batch —
+        ``class_plan.columns``/``columns_reason`` always end up
         describing what actually happened.
         """
-        if not class_plan.columns:
-            return None
-        rec = obs.RECORDER
-        if not self.use_columns:
-            class_plan.columns = False
-            class_plan.columns_reason = "columns disabled"
-            if rec.enabled:
-                rec.inc("query.columns.fallback", reason="disabled")
-            return None
-        db = self.database
-        columns = db.column_cache.for_class(schema_name,
-                                            class_plan.class_name)
+        columns = self._snapshot(schema_name, class_plan) \
+            if class_plan.columns else None
         if columns is None:
-            class_plan.columns = False
-            class_plan.columns_reason = "commit in flight"
-            if rec.enabled:
-                rec.inc("query.columns.fallback",
-                        reason="commit-in-flight")
-            return None
+            objects = self._class_candidates(schema_name, class_plan,
+                                             prefilter, equality)
+            return _row_part(objects, matcher), len(objects)
         if class_plan.kind == HASH_SCAN:
-            attr, values = equality
-            index = db.attribute_index(schema_name, class_plan.class_name,
-                                       attr)
-            if len(values) == 1:
-                oids = index.lookup_view(values[0])
-            else:
-                oids = index.lookup_many(values)
-            # Same candidate order as the row path: fetch_objects over
-            # sorted oids, absent members skipped.
+            # Same candidate order as the row path: sorted oids, absent
+            # members skipped.
             row_of = columns.row_of
-            rows: Any = [row for oid in sorted(oids)
+            rows: Any = [row for oid in self._hash_oids(
+                             schema_name, class_plan.class_name, equality)
                          if (row := row_of.get(oid)) is not None]
         else:
             rows = range(columns.cardinality)
         if matcher is match_all:
-            selected = list(rows)
-        else:
-            kernel = self._compile_columns(query, geo_class, columns)
-            selected = kernel(rows)
-        return columns, selected, len(rows)
+            return (columns, rows), len(rows)
+        kernel = query.where.compile_columns(geo_class, columns)
+        return (columns, kernel(rows)), len(rows)
 
-    def _compile_columns(self, query: Query, geo_class: GeoClass, columns):
-        """The query's fused column kernel for one column snapshot."""
-        return query.where.compile_columns(geo_class, columns)
+    def _snapshot(self, schema_name: str, class_plan: ClassPlan):
+        """The fresh column snapshot for a plan's class, or ``None``.
+
+        ``None`` (columns disabled, or a commit applying concurrently)
+        downgrades the plan to the row path and records why.
+        """
+        columns = self.database.column_cache.for_class(
+            schema_name, class_plan.class_name) if self.use_columns \
+            else None
+        class_plan.columns = columns is not None
+        if columns is None:
+            class_plan.columns_reason = ("commit in flight"
+                                         if self.use_columns
+                                         else "columns disabled")
+            rec = obs.RECORDER
+            if rec.enabled:
+                rec.inc("query.columns.fallback",
+                        reason="commit-in-flight" if self.use_columns
+                        else "disabled")
+        return columns
+
+    def _hash_oids(self, schema_name: str, class_name: str,
+                   equality) -> list[str]:
+        """A hash scan's candidate oids, sorted."""
+        attr, values = equality
+        index = self.database.attribute_index(schema_name, class_name, attr)
+        if len(values) == 1:
+            return sorted(index.lookup_view(values[0]))
+        return sorted(index.lookup_many(values))
 
     def _class_candidates(self, schema_name: str, class_plan: ClassPlan,
                           prefilter, equality):
@@ -313,80 +329,44 @@ class QueryEngine:
             return db.fetch_objects(schema_name, class_name,
                                     index.search(box))
         if class_plan.kind == HASH_SCAN:
-            attr, values = equality
-            index = db.attribute_index(schema_name, class_name, attr)
-            if len(values) == 1:
-                oids = index.lookup_view(values[0])
-            else:
-                oids = index.lookup_many(values)
-            return db.fetch_objects(schema_name, class_name, sorted(oids))
+            return db.fetch_objects(
+                schema_name, class_name,
+                self._hash_oids(schema_name, class_name, equality))
         return db.extent(schema_name, class_name)
 
     # -- scatter-gather --------------------------------------------------------
 
     def _execute_scatter(self, schema_name: str, geo_class: GeoClass,
                          query: Query, plans: list[ClassPlan],
-                         shard_plans: list[ShardPlan], prefilter, equality,
-                         matcher) -> QueryResult:
-        """Scatter the query over live shards, gather shaped results.
+                         shard_plans: list[ShardPlan], parts: list[tuple],
+                         candidates: int, matcher) -> QueryResult:
+        """Scatter the query over live shards, gather through the shaper.
 
-        Each *unit* — a live shard of a sharded class, or the whole
-        candidate set of an unsharded closure class — refines
-        independently. The gather step is shape-aware: ordered queries
-        merge locally sorted runs (k-way, via :func:`heapq.merge`),
-        aggregates combine per-unit partial states, and plain queries
-        concatenate in unit order.
-
-        Sharded classes with a fresh column snapshot refine their
-        shards as **column slices**: the kernel is compiled once per
-        class (here, on the gather thread), each shard's oid list maps
-        to row positions, and only survivors materialize — the per-unit
-        results are identical to per-shard fetch + row refine.
+        ``parts`` already holds the unsharded closure classes'
+        selections; each live shard adds one more. Sharded classes with
+        a fresh column snapshot select their shards as **column
+        slices**: the kernel is compiled once per class (here, on the
+        gather thread) and each shard's oid list maps to row positions.
+        Otherwise a shard fetches and row-refines its members into a
+        batch. The gather is :meth:`_shape_columns` over every part:
+        one global sort under the total order, one aggregate, or plain
+        concatenation in part order.
         """
         db = self.database
         rec = obs.RECORDER
-        units: list[list[GeoObject]] = []
-        candidates = 0
-        for class_plan in plans:
-            selected = self._column_select(schema_name, class_plan,
-                                           equality, query, geo_class,
-                                           matcher)
-            if selected is not None:
-                columns, row_sel, examined = selected
-                candidates += examined
-                objects = columns.objects
-                units.append([objects[i] for i in row_sel])
-                continue
-            objects = self._class_candidates(schema_name, class_plan,
-                                             prefilter, equality)
-            candidates += len(objects)
-            units.append(list(objects) if matcher is match_all
-                         else list(filter(matcher, objects)))
-
-        # Column slices for the sharded classes: one snapshot + one
-        # compiled kernel per class, shared by all of its shard tasks
-        # (kernels close over pre-built columns, so worker threads only
-        # read). The report entry records the per-class outcome.
+        # One snapshot + one compiled kernel per sharded class, shared by
+        # all of its shard tasks (kernels close over pre-built columns,
+        # so worker threads only read). The report entry records the
+        # per-class outcome.
         scatter_entries: list[ClassPlan] = []
         class_slices: dict[str, tuple] = {}
         for shard_plan in shard_plans:
             entry = shard_plan.as_class_plan()
-            columns = db.column_cache.for_class(
-                schema_name, shard_plan.class_name) if self.use_columns \
-                else None
+            columns = self._snapshot(schema_name, entry)
             if columns is not None:
                 kernel = None if matcher is match_all else \
-                    self._compile_columns(query, geo_class, columns)
+                    query.where.compile_columns(geo_class, columns)
                 class_slices[shard_plan.class_name] = (columns, kernel)
-                entry.columns = True
-            else:
-                entry.columns_reason = ("commit in flight"
-                                        if self.use_columns
-                                        else "columns disabled")
-                if rec.enabled:
-                    rec.inc("query.columns.fallback",
-                            reason="commit-in-flight" if self.use_columns
-                            else "disabled")
             scatter_entries.append(entry)
 
         def run_shard(task):
@@ -398,12 +378,9 @@ class QueryEngine:
                 rows = [row for oid in shard.oids
                         if (row := row_of.get(oid)) is not None]
                 selected = rows if kernel is None else kernel(rows)
-                objects = columns.objects
-                return len(rows), [objects[i] for i in selected]
+                return (columns, selected), len(rows)
             objects = db.fetch_objects(schema_name, class_name, shard.oids)
-            matched = list(objects) if matcher is match_all \
-                else list(filter(matcher, objects))
-            return len(objects), matched
+            return _row_part(objects, matcher), len(objects)
 
         tasks = [(shard_plan.class_name, shard)
                  for shard_plan in shard_plans
@@ -414,9 +391,9 @@ class QueryEngine:
                 results = list(pool.map(run_shard, tasks))
         else:
             results = [run_shard(task) for task in tasks]
-        for examined, matched in results:
+        for part, examined in results:
+            parts.append(part)
             candidates += examined
-            units.append(matched)
 
         report = self._report(plans + scatter_entries, candidates)
         report["plan"] = SCATTER
@@ -429,85 +406,7 @@ class QueryEngine:
         if rec.enabled:
             rec.inc("query.scatter.shards", amount=len(tasks))
             rec.inc("query.scatter.merges")
-
-        if query.aggregates:
-            rows = [self._merge_aggregates(units, geo_class, query)]
-            matches = [obj for unit in units for obj in unit]
-            report["matches"] = len(matches)
-            return QueryResult(query, matches, rows, report)
-        if query.order_by:
-            matches = self._merge_ordered(units, geo_class, query)
-        else:
-            matches = [obj for unit in units for obj in unit]
-        if query.limit is not None:
-            matches = matches[: query.limit]
-        rows = self._project(matches, geo_class, query)
-        report["matches"] = len(matches)
-        return QueryResult(query, matches, rows, report)
-
-    def _merge_ordered(self, units: list[list[GeoObject]],
-                       geo_class: GeoClass, query: Query) -> list[GeoObject]:
-        """K-way merge of per-unit runs, each sorted locally first."""
-        key, descending = self._order_key(geo_class, query)
-        try:
-            runs = [sorted(unit, key=key, reverse=descending)
-                    for unit in units]
-            return list(heapq.merge(*runs, key=key, reverse=descending))
-        except TypeError as exc:
-            raise QueryError(
-                f"order by {query.order_by!r}: values are not comparable ({exc})"
-            ) from exc
-
-    def _merge_aggregates(self, units: list[list[GeoObject]],
-                          geo_class: GeoClass,
-                          query: Query) -> dict[str, Any]:
-        """Combine per-unit partial aggregate states into one row.
-
-        Each unit contributes only its partial (count, sum, min, max)
-        over non-None resolved values; the combine step is the algebra
-        those partials close under, so the final row matches
-        :meth:`_aggregate` over the concatenated set exactly —
-        including the SQL-style empty-input conventions.
-        """
-        row: dict[str, Any] = {}
-        for op, path in query.aggregates or ():
-            label = f"{op}({path or '*'})"
-            if op == "count" and path is None:
-                row[label] = sum(len(unit) for unit in units)
-                continue
-            accessor = compile_path(path, geo_class)
-            n = 0
-            total: Any = None
-            low: Any = None
-            high: Any = None
-            for unit in units:
-                values = [value for value in map(accessor, unit)
-                          if value is not MISSING and value is not None]
-                if not values:
-                    continue
-                n += len(values)
-                if op in ("sum", "avg"):
-                    part = sum(values)
-                    total = part if total is None else total + part
-                elif op == "min":
-                    part = min(values)
-                    low = part if low is None else min(low, part)
-                elif op == "max":
-                    part = max(values)
-                    high = part if high is None else max(high, part)
-            if op == "count":
-                row[label] = n
-            elif n == 0:
-                row[label] = None
-            elif op == "min":
-                row[label] = low
-            elif op == "max":
-                row[label] = high
-            elif op == "sum":
-                row[label] = total
-            else:  # avg
-                row[label] = total / n
-        return row
+        return self._shape_columns(query, geo_class, parts, report)
 
     def _compile(self, query: Query, geo_class: GeoClass):
         """The query's compiled refine closure (timed when observable)."""
@@ -541,38 +440,18 @@ class QueryEngine:
     def shape_rows(self, query: Query, geo_class: GeoClass,
                    matches: list[GeoObject],
                    report: dict[str, Any]) -> QueryResult:
-        """The row-path result of a filtered match list: one aggregate
+        """The result of an already-filtered match list: one aggregate
         row, or the ordered, limited and projected matches."""
-        if query.aggregates:
-            # aggregates reduce the full matching set; limit is moot
-            rows = [self._aggregate(matches, geo_class, query)]
-        else:
-            matches = self._order(matches, geo_class, query)
-            if query.limit is not None:
-                matches = matches[: query.limit]
-            rows = self._project(matches, geo_class, query)
-        report["matches"] = len(matches)
-        return QueryResult(query, matches, rows, report)
-
-    def _order(self, matches: list[GeoObject], geo_class: GeoClass,
-               query: Query) -> list[GeoObject]:
-        if not query.order_by:
-            return matches
-        key, descending = self._order_key(geo_class, query)
-        try:
-            ordered = sorted(matches, key=key, reverse=descending)
-        except TypeError as exc:
-            raise QueryError(
-                f"order by {query.order_by!r}: values are not comparable ({exc})"
-            ) from exc
-        return ordered
+        return self._shape_columns(query, geo_class,
+                                   [_row_part(matches, match_all)], report)
 
     @staticmethod
     def _order_key(geo_class: GeoClass, query: Query):
         """The (key function, descending) pair for ``order_by``.
 
-        Shared by the single-extent sort and the scatter path's k-way
-        merge, so both shapes order identically.
+        The one statement of the result order: :meth:`_order_columns`
+        decorates rows with exactly these key tuples, and live-query
+        maintenance bisects on them.
         """
         path = query.order_by
         descending = path.startswith("-")
@@ -585,76 +464,24 @@ class QueryEngine:
             if value is MISSING:
                 value = None
             # None sorts last regardless of direction; the oid breaks
-            # ties so the ordering is total — the scatter merge then
-            # reproduces the single-extent sort byte for byte.
+            # ties so the ordering is total — any partition of the
+            # matches sorts back into the same sequence.
             return (value is None, value, obj.oid)
 
         return key, descending
 
-    def _aggregate(self, matches: list[GeoObject], geo_class: GeoClass,
-                   query: Query) -> dict[str, Any]:
-        """One row of aggregate values over the matching set.
-
-        Non-numeric / absent values are skipped by min/max/sum/avg;
-        ``count(path)`` counts objects where the path resolves non-None.
-        Empty inputs yield ``None`` (0 for counts), SQL-style.
-        """
-        row: dict[str, Any] = {}
-        for op, path in query.aggregates or ():
-            label = f"{op}({path or '*'})"
-            if op == "count" and path is None:
-                row[label] = len(matches)
-                continue
-            accessor = compile_path(path, geo_class)
-            values = []
-            for obj in matches:
-                value = accessor(obj)
-                if value is not MISSING and value is not None:
-                    values.append(value)
-            if op == "count":
-                row[label] = len(values)
-            elif not values:
-                row[label] = None
-            elif op == "min":
-                row[label] = min(values)
-            elif op == "max":
-                row[label] = max(values)
-            elif op == "sum":
-                row[label] = sum(values)
-            else:  # avg
-                row[label] = sum(values) / len(values)
-        return row
-
-    def _project(self, matches: list[GeoObject], geo_class: GeoClass,
-                 query: Query) -> list[dict[str, Any]] | None:
-        if query.projection is None:
-            return None
-        accessors = [
-            (path, compile_path(path, geo_class)) for path in query.projection
-        ]
-        rows = []
-        for obj in matches:
-            row: dict[str, Any] = {"oid": obj.oid}
-            for path, accessor in accessors:
-                value = accessor(obj)
-                row[path] = None if value is MISSING else value
-            rows.append(row)
-        return rows
-
-    # -- columnar shaping ------------------------------------------------------
-
     def _shape_columns(self, query: Query, geo_class: GeoClass,
                        parts: list[tuple], report: dict[str, Any]
                        ) -> QueryResult:
-        """Shape an all-columnar selection straight from the columns.
+        """Shape a selection straight from the columns — every route's
+        one shaper.
 
         ``parts`` holds one ``(columns, selected row positions)`` pair
-        per closure class, in plan order. Ordering, aggregation and
-        projection read value columns; objects are referenced only for
-        the rows that survive selection (and limit, for ordered
-        queries' projections). Output is byte-identical to the row
-        shapes — same key tuples, same empty-input conventions, same
-        error text on uncomparable order keys.
+        per closure class or shard, in plan order: column snapshots for
+        columnar selections, transient batches for row-refined ones.
+        Ordering, aggregation and projection read value columns;
+        objects are referenced only for the rows that survive selection
+        (and limit, for ordered queries' projections).
         """
         if query.aggregates:
             rows = [self._aggregate_columns(parts, geo_class, query)]
@@ -680,8 +507,8 @@ class QueryEngine:
 
         The key tuples are exactly :meth:`_order_key`'s — ``(value is
         None, value, oid)`` with MISSING folded to None — and the oid
-        tiebreak makes the ordering total, so a multi-class sort equals
-        the row path's sort over the concatenated matches. A ``limit``
+        tiebreak makes the ordering total, so sorting any partition of
+        the matches (classes, shards) yields one sequence. A ``limit``
         switches the full sort to a heap top-k (same total order, so
         the same prefix) and is applied before the pairs are rebuilt.
         """
@@ -725,7 +552,12 @@ class QueryEngine:
 
     def _aggregate_columns(self, parts: list[tuple], geo_class: GeoClass,
                            query: Query) -> dict[str, Any]:
-        """:meth:`_aggregate` over columns — no per-row accessor calls."""
+        """One row of aggregates over the selection's value columns.
+
+        ``count(*)`` counts selected rows; every other aggregate reads
+        the path's non-null, resolvable values through
+        :func:`finalize_aggregate`.
+        """
         row: dict[str, Any] = {}
         #: path -> non-null value list, shared across aggregate ops
         #: (min/max/avg over one path scan the column once, not thrice)
@@ -743,23 +575,13 @@ class QueryEngine:
                     values.extend(
                         v for i in selected
                         if (v := column[i]) is not MISSING and v is not None)
-            if op == "count":
-                row[label] = len(values)
-            elif not values:
-                row[label] = None
-            elif op == "min":
-                row[label] = min(values)
-            elif op == "max":
-                row[label] = max(values)
-            elif op == "sum":
-                row[label] = sum(values)
-            else:  # avg
-                row[label] = sum(values) / len(values)
+            row[label] = finalize_aggregate(op, values)
         return row
 
     def _project_columns(self, pairs: list[tuple], geo_class: GeoClass,
                          query: Query) -> list[dict[str, Any]] | None:
-        """:meth:`_project` over columns for surviving (post-limit) rows."""
+        """Projected rows for the surviving (post-limit) pairs: the oid
+        plus each projected path, ``None`` where a path is missing."""
         if query.projection is None:
             return None
         #: id(columns) -> (oid column, [(path, value column)])

@@ -27,6 +27,7 @@ from repro.core.kernel import GISKernel
 from repro.geodb import GeographicDatabase, LocalReplicationSource, QueryEngine
 from repro.geodb.query_language import parse_query
 from repro.spatial import Point
+from repro.workloads import PhoneNetParams, build_phone_net_database
 from repro.workloads.txn_mix import MIX_CLASS, MIX_SCHEMA, build_mix_schema
 
 WORLD = 1000
@@ -181,6 +182,42 @@ class TestDeltaShapes:
         assert watch.pop_updates() == []
         assert_matches_fresh(db, watch, text)
         assert kernel.live.stats()["fallback_reexec"] == 0
+
+    def test_float_aggregates_equal_fresh_exactly(self):
+        """Float sum/avg recombined from contributions equal a fresh
+        execution to the last bit, through updates and inserts — also
+        when members leave and re-enter, so contributions arrive in a
+        different order than the extent's."""
+        phone = build_phone_net_database(PhoneNetParams(
+            blocks_x=4, blocks_y=4, poles_per_street=8))
+        text = ("select count(*), sum(pole_composition.pole_height), "
+                "avg(pole_composition.pole_diameter) from Pole "
+                "where pole_type >= 1")
+        rng = random.Random(7)
+
+        def composition():
+            return {"pole_material": "wood",
+                    "pole_diameter": rng.uniform(0.1, 0.5),
+                    "pole_height": rng.uniform(6, 14)}
+
+        with GISKernel(phone) as k:
+            session = k.session(user="u")
+            watch = session.watch("phone_net", text)
+            poles = phone.extent("phone_net", "Pole").oids()
+            for step in range(6):
+                with k.transaction(session) as txn:
+                    for oid in rng.sample(poles, 5):
+                        txn.update(oid, {"pole_type": rng.randint(0, 3),
+                                         "pole_composition": composition()})
+                    txn.insert("phone_net", "Pole", {
+                        "pole_type": 2,
+                        "pole_location": Point(step, step),
+                        "pole_composition": composition(),
+                    })
+                expected = QueryEngine(phone).execute(
+                    "phone_net", parse_query(text))
+                assert watch.result().rows == expected.rows
+            assert k.live.stats()["fallback_reexec"] == 0
 
 
 class TestTargetedDelivery:

@@ -5,12 +5,14 @@ subsystem rests on: **the column kernels and the row path are the same
 function**. For every generated (data, query) pair the two engines must
 agree on membership, order, projected rows and aggregates — and a
 commit after the columns are warm must never leave a stale answer
-behind (the version stamp, not luck, keeps them equal).
+behind (the version stamp, not luck, keeps them equal). Since every
+route shapes through one shaper, the routes are also checked against
+an independent reference evaluator (``tests/_reference.py``).
 """
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.geodb import GeographicDatabase, MemoryPager, QueryEngine
@@ -18,6 +20,7 @@ from repro.geodb.query_language import parse_query
 from repro.spatial import Point
 from repro.workloads import build_mix_schema
 from repro.workloads.txn_mix import MIX_CLASS, MIX_SCHEMA
+from tests import _reference
 
 #: (name suffix, size, has-location) rows; names collide on purpose so
 #: equality and ``like`` predicates select multi-row groups.
@@ -99,6 +102,49 @@ def test_columns_equal_rows(rows, text):
     db = make_db(rows)
     column_answer, row_answer = answers(db, text)
     assert column_answer == row_answer
+
+
+def comparable(query, result_objects, rows):
+    """Oids and rows, exact for ordered answers, as a multiset otherwise."""
+    oids = [obj.oid for obj in result_objects]
+    if query.order_by and not query.aggregates:
+        return oids, rows
+    if rows is None or query.aggregates:
+        return sorted(oids), rows
+    return sorted(zip(oids, map(repr, rows))), None
+
+
+#: a fixed extent for the always-run examples: ties, nulls, no location
+EXAMPLE_ROWS = [("ash", 5, True), ("beech", None, True), ("cedar", 5, False),
+                ("ash/2", -3, True), ("beech", 12, True), ("ash", None, False),
+                ("cedar", 40, True), ("ash", 0, True)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=rows_strategy, text=queries())
+@example(rows=EXAMPLE_ROWS,
+         text="select oid, name, size from Feature order by size limit 3")
+@example(rows=EXAMPLE_ROWS,
+         text="select * from Feature where name != 'beech' "
+              "order by desc size limit 4")
+@example(rows=EXAMPLE_ROWS,
+         text="select count(*), min(size), max(size), avg(size) "
+              "from Feature where size >= 0")
+def test_every_route_equals_reference(rows, text):
+    """Columnar, row and 2x2 scatter routes all answer like the naive
+    reference evaluator — order, membership, rows and aggregates."""
+    db = make_db(rows)
+    query = parse_query(text)
+    expected = comparable(query, *_reference.evaluate(db, MIX_SCHEMA, query))
+    results = [QueryEngine(db).execute(MIX_SCHEMA, query),
+               QueryEngine(db, use_columns=False).execute(MIX_SCHEMA, query)]
+    db.shard_extent(MIX_SCHEMA, MIX_CLASS, "location", grid=(2, 2))
+    results.append(QueryEngine(db).execute(MIX_SCHEMA, query))
+    shard_map = db.shard_map(MIX_SCHEMA, MIX_CLASS)
+    if shard_map is not None and len(shard_map.shards) > 1:
+        assert results[-1].report["plan"] == "scatter"
+    for result in results:
+        assert comparable(query, result.objects, result.rows) == expected
 
 
 @settings(max_examples=60, deadline=None)

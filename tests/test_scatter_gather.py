@@ -2,12 +2,13 @@
 
 The contract under test: once a class extent is partitioned with
 :meth:`GeographicDatabase.shard_extent`, every query over it runs as a
-scatter over the live shards and a gather that merges per-shard results
-— and the merged answer is **byte-identical** to what the single-extent
-path returns for the same query on the same database. Pruning (disjoint
-cells, the no-geometry residual shard) must be sound, the shard map must
-follow the class's commit version, and the planner statistics must come
-back fresh after WAL recovery (the staleness regression at the end).
+scatter over the live shards and a gather that shapes the per-shard
+results together — and the gathered answer is **byte-identical** to
+what the single-extent path returns for the same query on the same
+database. Pruning (disjoint cells, the no-geometry residual shard) must
+be sound, the shard map must follow the class's commit version, and the
+planner statistics must come back fresh after WAL recovery (the
+staleness regression at the end).
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from repro.geodb import (
 from repro.geodb.query_language import parse_query, run_query
 from repro.geodb.sharding import RESIDUAL
 from repro.spatial import BBox, Point
-from repro.workloads import build_mix_schema
+from repro.workloads import (PhoneNetParams, build_mix_schema,
+                             build_phone_net_database)
 from repro.workloads.txn_mix import MIX_CLASS, MIX_SCHEMA
 
 
@@ -52,8 +54,8 @@ def make_db(n=40, residual=3) -> GeographicDatabase:
 def answer(db, text):
     """A comparable rendering of one query's full answer.
 
-    Ordered and aggregate answers must match *exactly* (the gather's
-    k-way merge reproduces the global sort, oid tie-break included).
+    Ordered and aggregate answers must match *exactly* (the gather sorts
+    all shard parts under the one total order, oid tie-break included).
     Row order of an unordered query is unspecified — the single-extent
     path yields extent order, the scatter path shard order — so those
     are normalized by sorting before comparison.
@@ -134,6 +136,21 @@ class TestScatterIdentity:
         assert [o.oid for o in threaded.objects] \
             == [o.oid for o in serial.objects]
         assert threaded.report["scatter"]["workers"] == 4
+
+    def test_float_aggregates_identical_over_shards(self):
+        """Float sum/avg do not depend on the order shards arrive in:
+        the phone net (168 poles) answers bit-for-bit alike on one
+        extent and on a 3x3 grid."""
+        db = build_phone_net_database(PhoneNetParams(
+            blocks_x=6, blocks_y=6, poles_per_street=12))
+        text = ("select sum(pole_composition.pole_height), "
+                "avg(pole_composition.pole_diameter) from Pole")
+        single = run_query(db, "phone_net", text)
+        db.shard_extent("phone_net", "Pole", "pole_location", grid=(3, 3))
+        sharded = run_query(db, "phone_net", text)
+        assert sharded.report["plan"] == "scatter"
+        assert len(single.objects) == 168
+        assert sharded.rows == single.rows
 
     def test_scatter_metrics(self, obs_recorder):
         db = make_db()
