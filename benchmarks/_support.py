@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 from contextlib import contextmanager
+from pathlib import Path
 from typing import Any, Iterator
 
 
@@ -73,3 +75,18 @@ def print_table(headers: list[str], rows: list[list]) -> None:
     print("  ".join("-" * w for w in widths))
     for row in rows:
         print("  ".join(str(c).ljust(w) for c, w in zip(row, widths)))
+
+
+def record_results(filename: str, payload: dict[str, Any],
+                   quick: bool) -> str:
+    """Write a full-mode run's results to ``filename`` at the repo root.
+
+    Quick runs (the CI smokes) leave the committed record as it is:
+    their sizes are smaller and their gates relaxed, so they are no
+    record of the experiment. Returns the line to print.
+    """
+    if quick:
+        return f"quick mode: {filename} not written (full-mode record)"
+    path = Path(__file__).resolve().parent.parent / filename
+    path.write_text(json.dumps(payload, indent=2) + "\n")
+    return f"results written to {filename}"

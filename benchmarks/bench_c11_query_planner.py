@@ -1,35 +1,35 @@
-"""Experiment C11 — cost-based planning, compiled refine, result cache.
+"""Experiment C11 — cost-based planning, batched refine, result cache.
 
-The PR replaced the fixed-priority query executor (spatial prefilter >
-hash > scan, per-oid ``find_object``, interpreted predicate ``matches``)
-with cost-based per-class planning, batched candidate fetch, compiled
-predicate closures and a kernel-wide snapshot-consistent result cache.
-This experiment prices all three against an in-bench replica of the seed
-executor, over a phone-net database large enough for plan quality to
-matter:
+The query engine replaced the fixed-priority executor (spatial
+prefilter > hash > scan, per-oid ``find_object``) with cost-based
+per-class planning, batched candidate fetch, column kernels over
+full/hash scans and a kernel-wide snapshot-consistent result cache.
+Both executors refine objects with the same ``Predicate.matches``.
+This experiment prices the engine against an in-bench replica of the
+seed executor, over a phone-net database large enough for plan quality
+to matter:
 
 * **cold mix** — a representative query mix (selective and covering
   spatial probes, indexed equality, dotted-path refine, mixed subclass
   closure, aggregates), each query cold (no result cache). Gate:
   >= 1.5x faster than the seed executor.
 * **cold single query** — a plain full-scan query, pricing the planner
-  + compile overhead a one-off query pays. Gate: <= 1.2x of seed.
+  overhead a one-off query pays. Gate: <= 1.2x of seed.
 * **warm cache** — the same query repeated through the kernel's
   :class:`~repro.core.query_cache.QueryResultCache`. Gate: >= 3x
   faster than re-executing on the seed path.
 
-Results land in ``BENCH_C11.json`` at the repo root. Quick mode
-(``REPRO_BENCH_QUICK=1``, used by the CI smoke step) shrinks the
-database and the round counts; at smoke sizes the cold timings are
-noise-bound, so quick mode relaxes the cold-mix gate to "no slower
-than seed" and skips the cold-overhead gate. The warm-cache gate (3x)
+Full-mode results land in ``BENCH_C11.json`` at the repo root. Quick
+mode (``REPRO_BENCH_QUICK=1``, used by the CI smoke step) shrinks the
+database and the round counts and only prints its results; at smoke
+sizes the cold timings are noise-bound, so quick mode relaxes the
+cold-mix gate to "no slower than seed" and skips the cold-overhead
+gate. The warm-cache gate (3x)
 holds in both modes; the full gate set runs in full mode.
 """
 
-import json
 import os
 import time
-from pathlib import Path
 from typing import Any
 
 from repro.geodb import QueryEngine, parse_query
@@ -38,7 +38,8 @@ from repro.core import QueryResultCache
 from repro.errors import QueryError
 from repro.workloads import PhoneNetParams, build_phone_net_database
 
-from _support import capture_metrics, print_header, print_metrics, print_table
+from _support import (capture_metrics, print_header, print_metrics,
+                      print_table, record_results)
 
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
 PARAMS = (PhoneNetParams(blocks_x=4, blocks_y=4, poles_per_street=12,
@@ -321,16 +322,15 @@ def test_c11_query_planner(capsys):
                   "cold_single_ratio_max": 1.2,
                   "warm_cache_speedup_min": 3.0},
     }
-    out_path = Path(__file__).resolve().parent.parent / "BENCH_C11.json"
-    out_path.write_text(json.dumps(payload, indent=2) + "\n")
+    recorded = record_results("BENCH_C11.json", payload, QUICK)
 
     with capsys.disabled():
-        print_header("C11", "cost-based planning, compiled refine and the "
+        print_header("C11", "cost-based planning, batched refine and the "
                             "query result cache")
         print(f"phone-net: {pole_count} poles "
               f"({'quick' if QUICK else 'full'} mode)\n")
         print_table(["workload", "seed executor", "this PR", "ratio"], rows)
-        print(f"\nresults written to {out_path.name}")
+        print(f"\n{recorded}")
         run_metrics_sample(db)
 
     assert warm_speedup >= 3.0, (
@@ -345,8 +345,8 @@ def test_c11_query_planner(capsys):
         f"(gate: {cold_gate}x)"
     )
     if not QUICK:
-        # One-off queries pay planning + compilation; the batched fetch
-        # must keep that within 1.2x of the seed path.
+        # One-off queries pay planning and the column lookup; the
+        # batched fetch must keep that within 1.2x of the seed path.
         assert single_ratio <= 1.2, (
             f"cold single query {single_ratio:.2f}x of seed (gate: 1.2x)"
         )

@@ -8,9 +8,10 @@ positions without materializing objects, columnar ordering /
 aggregation / projection, and STR bulk loading
 (:meth:`~repro.spatial.rtree.RTree.bulk_load`) wherever R-trees rebuild
 wholesale. This experiment prices the columnar selection against the
-engine's own row path (``use_columns=False``: per-object compiled
-refine, the matches then shaped by the same column shaper every route
-uses) on a phone-net database sized so scans dominate:
+engine's own row path (``use_columns=False``: a per-object
+``Predicate.matches`` refine, the matches then shaped by the same
+column shaper every route uses) on a phone-net database sized so scans
+dominate:
 
 * **cold mix** — a scan-heavy filter/aggregate mix (selective filters,
   conjunctions, a dotted-path refine, aggregates, order+limit, a
@@ -24,25 +25,24 @@ uses) on a phone-net database sized so scans dominate:
 * **STR bulk load** — packing an R-tree from the extent's entries
   versus the per-entry insert loop. Gate: bulk load is not slower.
 
-Results land in ``BENCH_C16.json`` at the repo root. Quick mode
-(``REPRO_BENCH_QUICK=1``, the CI smoke step) shrinks the database and
-round counts; at smoke sizes per-query fixed overhead dilutes the
-kernel advantage and timings are noise-bound, so quick mode relaxes
-the mix gate to "no slower than the row path" and skips the
-amortization and bulk-load gates. Byte-identity holds in both modes.
+Full-mode results land in ``BENCH_C16.json`` at the repo root. Quick
+mode (``REPRO_BENCH_QUICK=1``, the CI smoke step) shrinks the database
+and round counts and only prints its results; at smoke sizes
+per-query fixed overhead dilutes the kernel advantage and timings are
+noise-bound, so quick mode relaxes the mix gate to "no slower than the
+row path" and skips the amortization and bulk-load gates. Byte-identity holds in both modes.
 """
 
-import json
 import os
 import time
-from pathlib import Path
 from typing import Any
 
 from repro.geodb import QueryEngine, parse_query
 from repro.spatial import RTree
 from repro.workloads import PhoneNetParams, build_phone_net_database
 
-from _support import capture_metrics, print_header, print_metrics, print_table
+from _support import (capture_metrics, print_header, print_metrics,
+                      print_table, record_results)
 
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
 PARAMS = (PhoneNetParams(blocks_x=4, blocks_y=4, poles_per_street=12,
@@ -229,8 +229,7 @@ def test_c16_columnar(capsys):
                   "first_scan_ratio_max": 2.0,
                   "bulk_load_speedup_min": 1.0},
     }
-    out_path = Path(__file__).resolve().parent.parent / "BENCH_C16.json"
-    out_path.write_text(json.dumps(payload, indent=2) + "\n")
+    recorded = record_results("BENCH_C16.json", payload, QUICK)
 
     with capsys.disabled():
         print_header("C16", "vectorized columnar scans and STR-packed "
@@ -238,7 +237,7 @@ def test_c16_columnar(capsys):
         print(f"phone-net: {pole_count} poles "
               f"({'quick' if QUICK else 'full'} mode)\n")
         print_table(["workload", "row path", "columns", "ratio"], rows)
-        print(f"\nresults written to {out_path.name}")
+        print(f"\n{recorded}")
         run_metrics_sample(db)
 
     # At smoke sizes fixed per-query overhead dilutes the kernels:

@@ -6,10 +6,10 @@ queries it means constant re-execution of barely-changed windows. A
 :class:`LiveQueryManager` keeps the results of **watched** queries
 (``session.watch(schema, text)``) incrementally correct instead:
 
-* every commit's structured write-set
-  (:class:`~repro.geodb.database.CommitWriteSet`) is run through the
-  standing query's *compiled predicate* — the same closure chain the
-  engine refines with;
+* every written object of a commit's structured write-set
+  (:class:`~repro.geodb.database.CommitWriteSet`) is judged by the
+  standing query's :meth:`~repro.geodb.query.Predicate.matches` — the
+  evaluator the engine refines objects with;
 * row deltas are applied to the maintained result: ordered results
   re-merge through the engine's total order ``(value is None, value,
   oid)``, aggregates recombine from per-object contributions, projected
@@ -135,7 +135,7 @@ class _LiveState:
 
     __slots__ = (
         "schema_name", "query", "key", "geo_class", "closure",
-        "closure_keys", "versions", "matcher", "order", "proj_accessors",
+        "closure_keys", "versions", "order", "proj_accessors",
         "agg_specs", "membership", "objects", "keys", "rows", "contribs",
         "agg_row", "complete", "base_report", "result", "watches",
         "deltas", "fallbacks", "last_reason", "last_commit_ts",
@@ -163,15 +163,16 @@ class _LiveState:
                                                     self.query)
         self.closure_keys = {(self.schema_name, c) for c in self.closure}
         self.versions = dict(versions)
-        self.matcher = self.query.where.compile(self.geo_class)
         if self.query.order_by and not self.query.aggregates:
             self.order = QueryEngine._order_key(self.geo_class, self.query)
         else:
             self.order = None
         if self.query.projection is not None:
+            # a projected ``oid`` is the object's oid, which every
+            # projected row already carries
             self.proj_accessors = [
                 (path, compile_path(path, self.geo_class))
-                for path in self.query.projection
+                for path in self.query.projection if path != "oid"
             ]
         else:
             self.proj_accessors = None
@@ -284,7 +285,7 @@ class _LiveState:
         obj = db.find_object(op.oid)
         if obj is None:
             return None, False
-        return obj, bool(self.matcher(obj))
+        return obj, bool(self.query.where.matches(obj, self.geo_class))
 
     # .. plain / ordered / projected results ..
 

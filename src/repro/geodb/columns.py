@@ -1,8 +1,9 @@
 """Columnar scan storage: version-stamped per-class column sets.
 
-The query engine's row path filters by calling a compiled closure on
-every candidate :class:`~repro.geodb.instances.GeoObject` — one Python
-call, one dict probe and one comparison per row per predicate term. For
+The query engine's row path filters by calling
+:meth:`~repro.geodb.query.Predicate.matches` on every candidate
+:class:`~repro.geodb.instances.GeoObject` — Python calls, a path
+resolution and a comparison per row per predicate term. For
 the scan-heavy analysis queries the customization loop fires constantly
 (rule evaluation, presentation refresh, live-query fallback
 re-execution), that per-row interpreter overhead dominates once the
@@ -55,8 +56,8 @@ class ClassColumns:
     ``objects[i]``. Value columns are built lazily per attribute path —
     a query only pays for the paths it touches — and are keyed by the
     *query class* too, because path resolution applies the query class's
-    attribute defaults to every closure member (exactly like the row
-    path's compiled accessors).
+    attribute defaults to every closure member (exactly like
+    :meth:`~repro.geodb.query.Predicate.matches`).
     """
 
     __slots__ = ("schema_name", "class_name", "version", "cardinality",
@@ -91,10 +92,10 @@ class ClassColumns:
         """The value column for an attribute path.
 
         Values are resolved through :func:`~repro.geodb.query.
-        compile_path` with ``geo_class``'s defaults — the same accessor
-        the row path compiles — so a position holds exactly what the
-        row path would have compared, including the ``MISSING`` sentinel
-        for unresolvable dotted paths.
+        compile_path` with ``geo_class``'s defaults, so a position holds
+        exactly what :meth:`~repro.geodb.query.Predicate.matches` would
+        have compared, with the ``MISSING`` sentinel where it finds no
+        value (unresolvable dotted paths).
         """
         key = (path, geo_class.name)
         column = self._paths.get(key)
@@ -108,7 +109,7 @@ class ClassColumns:
         """``(geometry column, packed bbox column)`` for one attribute.
 
         The geometry column holds the raw attribute value (spatial
-        predicates read ``obj._values`` directly, never type defaults);
+        predicates read the object's own geometry, never type defaults);
         the bbox column packs each geometry's bounds as a
         ``(min_x, min_y, max_x, max_y)`` tuple — ``None`` where the
         value is not a :class:`~repro.spatial.geometry.Geometry` — so

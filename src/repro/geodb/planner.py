@@ -314,10 +314,9 @@ def _overlap_ratio(probe: BBox, extent: BBox) -> float:
 class QueryPlanner:
     """Chooses the cheapest access path per class of a query's closure."""
 
-    def __init__(self, database, statistics: Statistics | None = None):
+    def __init__(self, database):
         self._db = database
-        self.statistics = statistics if statistics is not None \
-            else database.statistics
+        self.statistics = database.statistics
 
     # -- closure ---------------------------------------------------------
 

@@ -14,25 +14,22 @@ properties and relationships." The model mirrors that split:
 Predicates are pure descriptions; execution (and index selection) lives in
 :mod:`repro.geodb.query_engine`.
 
-Each predicate also **compiles** (:meth:`Predicate.compile`) into a
-plain ``obj -> bool`` closure for the executor's refine loop: attribute
-paths are resolved, operator dispatch is bound, and ``like`` needles are
-lowercased *once per query* instead of once per row. The interpreted
-:meth:`Predicate.matches` path is kept for external callers and as the
-compilation fallback for predicate subclasses that do not override
-``compile``; both paths implement identical semantics (unresolvable
-paths and uncomparable values are non-matches, never errors).
+Each predicate has one evaluator per access shape:
 
-For column-eligible scans there is a third form:
-:meth:`Predicate.compile_columns` fuses the predicate tree into a
-**column kernel** — ``rows -> surviving rows`` over the position lists
-of a :class:`~repro.geodb.columns.ClassColumns` snapshot. Kernels never
-touch a :class:`~repro.geodb.instances.GeoObject`: comparisons run as
-list comprehensions over pre-resolved value columns, conjunctions
-narrow the row list term by term, and spatial predicates reject on a
-packed bbox column before evaluating any geometry. Semantics are
-identical to the row closures by construction (the property suite in
-``tests/test_properties_columns.py`` pins the equivalence).
+* :meth:`Predicate.matches` judges **one object** — the engine's
+  refine of index-scan candidates and of its row fallbacks, scenario
+  queries, live-query membership and the reference evaluator the tests
+  judge every route against. Unresolvable paths and
+  uncomparable values are non-matches, never errors.
+* :meth:`Predicate.compile_columns` fuses the predicate tree into a
+  **column kernel** — ``rows -> surviving rows`` over the position lists
+  of a :class:`~repro.geodb.columns.ClassColumns` snapshot. Kernels never
+  touch a :class:`~repro.geodb.instances.GeoObject`: comparisons run as
+  list comprehensions over pre-resolved value columns, conjunctions
+  narrow the row list term by term, and spatial predicates reject on a
+  packed bbox column before evaluating any geometry. Their answers equal
+  ``matches`` row for row (the property suite in
+  ``tests/test_properties_columns.py`` pins the equivalence).
 """
 
 from __future__ import annotations
@@ -56,20 +53,10 @@ class _Missing:
         return "<missing>"
 
 
-#: Returned by compiled accessors where the interpreted path would have
-#: raised :class:`~repro.errors.QueryError` (dotted path into a
-#: non-tuple, or a missing tuple field).
+#: Returned by :func:`compile_path` accessors where
+#: :func:`_resolve_path` would have raised :class:`~repro.errors.
+#: QueryError` (dotted path into a non-tuple, or a missing tuple field).
 MISSING = _Missing()
-
-
-def match_all(obj: GeoObject) -> bool:
-    """The compiled form of :class:`TruePredicate`.
-
-    Exposed as a well-known function object so the executor can detect
-    "no filtering needed" (``compiled is match_all``) and skip the
-    refine loop entirely on browse queries.
-    """
-    return True
 
 
 def compile_path(path: str, geo_class: GeoClass):
@@ -80,7 +67,9 @@ def compile_path(path: str, geo_class: GeoClass):
     :func:`_resolve_path` raises :class:`~repro.errors.QueryError`
     (dotted path through a non-tuple value, missing tuple field) the
     accessor returns :data:`MISSING` instead — callers translate that to
-    "no match" / ``None`` exactly like their interpreted counterparts.
+    "no match" / ``None`` exactly like :meth:`Predicate.matches` does.
+    Value columns, order keys, projections and aggregates read paths
+    through it.
     """
     head, __, rest = path.partition(".")
     if geo_class.has_attribute(head):
@@ -122,21 +111,8 @@ class Predicate:
     """Base class for all predicate nodes."""
 
     def matches(self, obj: GeoObject, geo_class: GeoClass) -> bool:
+        """Whether one object satisfies the predicate."""
         raise NotImplementedError
-
-    def compile(self, geo_class: GeoClass) -> Callable[[GeoObject], bool]:
-        """An ``obj -> bool`` closure with paths/operators pre-resolved.
-
-        The base implementation falls back to the interpreted
-        :meth:`matches`, so predicate subclasses defined outside this
-        module keep working unchanged.
-        """
-        matches = self.matches
-
-        def fallback(obj: GeoObject) -> bool:
-            return matches(obj, geo_class)
-
-        return fallback
 
     def compile_columns(self, geo_class: GeoClass, columns):
         """A fused column kernel: ``rows -> surviving row positions``.
@@ -147,15 +123,15 @@ class Predicate:
         predicate. Column lookups happen here, at compile time, so
         kernels are safe to run from scatter worker threads.
 
-        The base implementation evaluates the row closure against the
-        aligned object snapshot, so predicate subclasses defined outside
-        this module stay correct on the column path too.
+        The base implementation calls :meth:`matches` on the aligned
+        object snapshot, so predicate subclasses defined outside this
+        module stay correct on the column path too.
         """
-        row_match = self.compile(geo_class)
+        matches = self.matches
         objects = columns.objects
 
         def fallback(rows):
-            return [i for i in rows if row_match(objects[i])]
+            return [i for i in rows if matches(objects[i], geo_class)]
 
         return fallback
 
@@ -228,7 +204,7 @@ def _bbox_overlap_kernel(boxes, min_x, min_y, max_x, max_y):
     geometry can only satisfy such a relation when its bounds touch the
     probe bounds (inclusive edges), so dropping the rest never changes
     the answer. Rows without a geometry (``box is None``) are dropped
-    too — the row closures return False for them unconditionally.
+    too — ``matches`` returns False for them unconditionally.
     """
 
     def pre(rows):
@@ -264,63 +240,6 @@ class Comparison(Predicate):
         except TypeError:
             return False
 
-    def compile(self, geo_class: GeoClass) -> Callable[[GeoObject], bool]:
-        value = self.value
-        if self.op == "like":
-            accessor = compile_path(self.path, geo_class)
-            # Needle lowercasing happens here, once — not per row.
-            if not isinstance(value, str):
-                return lambda obj: False
-            needle = value.lower()
-
-            def like(obj: GeoObject) -> bool:
-                actual = accessor(obj)
-                return isinstance(actual, str) and needle in actual.lower()
-
-            return like
-
-        op = _OPS[self.op]
-        head, __, rest = self.path.partition(".")
-        if not rest:
-            # Plain path: inline the dict probe into the comparison —
-            # one closure call per candidate instead of two. The class
-            # default is evaluated once; comparisons only read it.
-            if geo_class.has_attribute(head):
-                default_value = geo_class.attribute(head).type.default()
-            else:
-                default_value = None
-            if self.op == "=":
-                def eq(obj: GeoObject) -> bool:
-                    return obj._values.get(head, default_value) == value
-
-                return eq
-            if self.op == "!=":
-                def ne(obj: GeoObject) -> bool:
-                    return obj._values.get(head, default_value) != value
-
-                return ne
-
-            def plain(obj: GeoObject) -> bool:
-                try:
-                    return op(obj._values.get(head, default_value), value)
-                except TypeError:
-                    return False
-
-            return plain
-
-        accessor = compile_path(self.path, geo_class)
-
-        def compare(obj: GeoObject) -> bool:
-            actual = accessor(obj)
-            if actual is MISSING:
-                return False
-            try:
-                return op(actual, value)
-            except TypeError:
-                return False
-
-        return compare
-
     def compile_columns(self, geo_class: GeoClass, columns):
         value = self.value
         column = columns.path_column(self.path, geo_class)
@@ -341,8 +260,8 @@ class Comparison(Predicate):
         plain = "." not in self.path
         if plain and self.op == "=":
             # Plain columns never hold MISSING (the accessor always
-            # resolves), so ==/!= run as bare comprehensions — same
-            # unguarded semantics as the row path's inlined eq/ne.
+            # resolves) and equality never raises, so ==/!= run as
+            # bare comprehensions.
             return lambda rows: [i for i in rows if column[i] == value]
         if plain and self.op == "!=":
             return lambda rows: [i for i in rows if column[i] != value]
@@ -352,7 +271,7 @@ class Comparison(Predicate):
         # inlined (ordering ops) or one call per row (dotted =/!=, in).
         # A TypeError — None or a mixed-type value meeting an ordering
         # op — aborts the comprehension and re-runs the guarded loop,
-        # which skips exactly the rows the row path's ``matches`` skips.
+        # which skips exactly the rows ``matches`` skips.
         if self.op == "<":
             def fast(rows):
                 return [i for i in rows
@@ -430,25 +349,13 @@ class SpatialPredicate(Predicate):
             return False
         return PREDICATES[self.relation](geom, self.probe)
 
-    def compile(self, geo_class: GeoClass) -> Callable[[GeoObject], bool]:
-        attr, probe = self.attr, self.probe
-        relation = PREDICATES[self.relation]
-
-        def spatial(obj: GeoObject) -> bool:
-            geom = obj._values.get(attr)
-            if not isinstance(geom, Geometry):
-                return False
-            return relation(geom, probe)
-
-        return spatial
-
     def compile_columns(self, geo_class: GeoClass, columns):
         probe = self.probe
         relation = PREDICATES[self.relation]
         geoms, boxes = columns.geometry_column(self.attr)
         if self.relation == "disjoint":
             # Disjointness cannot be bbox-prefiltered; evaluate exactly
-            # (non-Geometry values never match, like the row closure).
+            # (non-Geometry values never match, like ``matches``).
             return lambda rows: [
                 i for i in rows
                 if boxes[i] is not None and relation(geoms[i], probe)
@@ -501,19 +408,6 @@ class RelateMask(Predicate):
         if geom is None:
             return False
         return relate_with_mask(geom, self.probe, self.mask)
-
-    def compile(self, geo_class: GeoClass) -> Callable[[GeoObject], bool]:
-        from ..spatial.de9im import relate_with_mask
-
-        attr, probe, mask = self.attr, self.probe, self.mask
-
-        def relate(obj: GeoObject) -> bool:
-            geom = obj._values.get(attr)
-            if not isinstance(geom, Geometry):
-                return False
-            return relate_with_mask(geom, probe, mask)
-
-        return relate
 
     def compile_columns(self, geo_class: GeoClass, columns):
         from ..spatial.de9im import relate_with_mask
@@ -568,17 +462,6 @@ class WithinDistance(Predicate):
             return False
         return geometry_distance(geom, self.probe) <= self.radius
 
-    def compile(self, geo_class: GeoClass) -> Callable[[GeoObject], bool]:
-        attr, probe, radius = self.attr, self.probe, self.radius
-
-        def within(obj: GeoObject) -> bool:
-            geom = obj._values.get(attr)
-            if not isinstance(geom, Geometry):
-                return False
-            return geometry_distance(geom, probe) <= radius
-
-        return within
-
     def compile_columns(self, geo_class: GeoClass, columns):
         probe, radius = self.probe, self.radius
         geoms, boxes = columns.geometry_column(self.attr)
@@ -612,20 +495,6 @@ class And(Predicate):
 
     def matches(self, obj: GeoObject, geo_class: GeoClass) -> bool:
         return all(p.matches(obj, geo_class) for p in self.parts)
-
-    def compile(self, geo_class: GeoClass) -> Callable[[GeoObject], bool]:
-        compiled = [p.compile(geo_class) for p in self.parts]
-        if len(compiled) == 2:
-            first, second = compiled
-            return lambda obj: first(obj) and second(obj)
-
-        def conjunction(obj: GeoObject) -> bool:
-            for part in compiled:
-                if not part(obj):
-                    return False
-            return True
-
-        return conjunction
 
     def compile_columns(self, geo_class: GeoClass, columns):
         compiled = [p.compile_columns(geo_class, columns)
@@ -670,20 +539,6 @@ class Or(Predicate):
     def matches(self, obj: GeoObject, geo_class: GeoClass) -> bool:
         return any(p.matches(obj, geo_class) for p in self.parts)
 
-    def compile(self, geo_class: GeoClass) -> Callable[[GeoObject], bool]:
-        compiled = [p.compile(geo_class) for p in self.parts]
-        if len(compiled) == 2:
-            first, second = compiled
-            return lambda obj: first(obj) or second(obj)
-
-        def disjunction(obj: GeoObject) -> bool:
-            for part in compiled:
-                if part(obj):
-                    return True
-            return False
-
-        return disjunction
-
     def compile_columns(self, geo_class: GeoClass, columns):
         compiled = [p.compile_columns(geo_class, columns)
                     for p in self.parts]
@@ -710,10 +565,6 @@ class Not(Predicate):
     def matches(self, obj: GeoObject, geo_class: GeoClass) -> bool:
         return not self.inner.matches(obj, geo_class)
 
-    def compile(self, geo_class: GeoClass) -> Callable[[GeoObject], bool]:
-        inner = self.inner.compile(geo_class)
-        return lambda obj: not inner(obj)
-
     def compile_columns(self, geo_class: GeoClass, columns):
         inner = self.inner.compile_columns(geo_class, columns)
 
@@ -733,9 +584,6 @@ class TruePredicate(Predicate):
 
     def matches(self, obj: GeoObject, geo_class: GeoClass) -> bool:
         return True
-
-    def compile(self, geo_class: GeoClass) -> Callable[[GeoObject], bool]:
-        return match_all
 
     def compile_columns(self, geo_class: GeoClass, columns):
         return lambda rows: list(rows)

@@ -1,4 +1,4 @@
-"""Query execution: cost-based planning, compiled refine, shaping.
+"""Query execution: cost-based planning, refine, shaping.
 
 The engine evaluates a :class:`repro.geodb.query.Query` against a
 :class:`repro.geodb.database.GeographicDatabase`:
@@ -9,11 +9,11 @@ The engine evaluates a :class:`repro.geodb.query.Query` against a
    cardinality, bucket sizes, R-tree coverage). Mixed closures mix
    access paths; every per-class decision lands in the execution
    report.
-2. **Refine** — the predicate tree is compiled once
-   (:meth:`~repro.geodb.query.Predicate.compile`) into a closure chain,
-   and every candidate — batch-fetched from its class extent, not
-   resolved oid-by-oid — is checked against it. Browse queries
-   (``TruePredicate``) skip the refine loop entirely.
+2. **Refine** — one evaluator per access shape: a column kernel over a
+   snapshot, :meth:`~repro.geodb.query.Predicate.matches` over objects
+   (candidates are batch-fetched from their class extent, not resolved
+   oid-by-oid). Browse queries (``TruePredicate``) skip the refine
+   entirely.
 3. **Shape** — ordering, limiting and projection/aggregation, in one
    shaper that reads columns (:meth:`QueryEngine._shape_columns`).
 
@@ -27,7 +27,7 @@ positions without touching a single :class:`GeoObject`. Everything
 else — index scans (whose candidates come from the R-tree), a
 mid-apply commit (the seqlock makes the build bail out), an engine
 built with ``use_columns=False`` and :meth:`QueryEngine.shape_rows`
-callers — refines row by row with the compiled closure and wraps the
+callers — refines object by object with ``matches`` and wraps the
 matches in a transient, unversioned column batch, so one set of
 ordering, aggregate and projection rules answers every route. The
 per-class plan report records which selection ran (``columns:
@@ -69,7 +69,7 @@ from .database import GeographicDatabase
 from .instances import GeoObject
 from .planner import (FULL_SCAN, HASH_SCAN, INDEX_SCAN, SCATTER, ClassPlan,
                       QueryPlanner, ShardPlan)
-from .query import MISSING, Query, compile_path, match_all
+from .query import MISSING, Predicate, Query, TruePredicate, compile_path
 from .schema import GeoClass
 
 
@@ -98,16 +98,22 @@ def finalize_aggregate(op: str, values) -> Any:
     return total if op == "sum" else total / len(values)
 
 
-def _row_part(objects, matcher) -> tuple:
-    """Row-refined candidates as a shaping part.
+def _refine(objects, where: Predicate, geo_class: GeoClass) -> list:
+    """The candidates ``where`` matches, one ``matches`` call each
+    (every candidate for a browse query)."""
+    if isinstance(where, TruePredicate):
+        return list(objects)
+    matches = where.matches
+    return [obj for obj in objects if matches(obj, geo_class)]
+
+
+def _row_part(matches: list) -> tuple:
+    """Refined objects as a shaping part.
 
     The matches are wrapped in a transient, unversioned column batch
     (never cached) that selects every row, so the row routes shape
-    through the same code as column snapshots. ``filter`` keeps the
-    per-candidate loop in C.
+    through the same code as column snapshots.
     """
-    matches = list(objects) if matcher is match_all \
-        else list(filter(matcher, objects))
     return ClassColumns("", "", -1, matches), range(len(matches))
 
 
@@ -242,30 +248,29 @@ class QueryEngine:
             planner.plan_class(schema_name, class_name, prefilter, equality)
             for class_name in closure if class_name not in sharded
         ]
-        matcher = self._compile(query, geo_class)
         parts: list[tuple] = []
         candidates = 0
         for class_plan in plans:
             part, examined = self._select(schema_name, class_plan, prefilter,
-                                          equality, query, geo_class, matcher)
+                                          equality, query, geo_class)
             parts.append(part)
             candidates += examined
         if shard_plans:
             return self._execute_scatter(schema_name, geo_class, query,
                                          plans, shard_plans, parts,
-                                         candidates, matcher)
+                                         candidates)
         return self._shape_columns(query, geo_class, parts,
                                    self._report(plans, candidates))
 
     def _select(self, schema_name: str, class_plan: ClassPlan, prefilter,
-                equality, query: Query, geo_class: GeoClass, matcher):
+                equality, query: Query, geo_class: GeoClass):
         """Run one class plan's selection as a shaping part.
 
         Returns ``((columns, selected row positions), candidates
         examined)``. Full and hash scans select over the class's column
         snapshot; index scans, and plans the snapshot cannot serve,
-        row-refine the planned candidates into a transient batch —
-        ``class_plan.columns``/``columns_reason`` always end up
+        refine the planned candidates with ``matches`` into a transient
+        batch — ``class_plan.columns``/``columns_reason`` always end up
         describing what actually happened.
         """
         columns = self._snapshot(schema_name, class_plan) \
@@ -273,7 +278,8 @@ class QueryEngine:
         if columns is None:
             objects = self._class_candidates(schema_name, class_plan,
                                              prefilter, equality)
-            return _row_part(objects, matcher), len(objects)
+            return (_row_part(_refine(objects, query.where, geo_class)),
+                    len(objects))
         if class_plan.kind == HASH_SCAN:
             # Same candidate order as the row path: sorted oids, absent
             # members skipped.
@@ -283,7 +289,7 @@ class QueryEngine:
                          if (row := row_of.get(oid)) is not None]
         else:
             rows = range(columns.cardinality)
-        if matcher is match_all:
+        if isinstance(query.where, TruePredicate):
             return (columns, rows), len(rows)
         kernel = query.where.compile_columns(geo_class, columns)
         return (columns, kernel(rows)), len(rows)
@@ -339,7 +345,7 @@ class QueryEngine:
     def _execute_scatter(self, schema_name: str, geo_class: GeoClass,
                          query: Query, plans: list[ClassPlan],
                          shard_plans: list[ShardPlan], parts: list[tuple],
-                         candidates: int, matcher) -> QueryResult:
+                         candidates: int) -> QueryResult:
         """Scatter the query over live shards, gather through the shaper.
 
         ``parts`` already holds the unsharded closure classes'
@@ -347,10 +353,10 @@ class QueryEngine:
         a fresh column snapshot select their shards as **column
         slices**: the kernel is compiled once per class (here, on the
         gather thread) and each shard's oid list maps to row positions.
-        Otherwise a shard fetches and row-refines its members into a
-        batch. The gather is :meth:`_shape_columns` over every part:
-        one global sort under the total order, one aggregate, or plain
-        concatenation in part order.
+        Otherwise a shard fetches its members and refines them with
+        ``matches`` into a batch. The gather is :meth:`_shape_columns`
+        over every part: one global sort under the total order, one
+        aggregate, or plain concatenation in part order.
         """
         db = self.database
         rec = obs.RECORDER
@@ -358,13 +364,14 @@ class QueryEngine:
         # all of its shard tasks (kernels close over pre-built columns,
         # so worker threads only read). The report entry records the
         # per-class outcome.
+        browse = isinstance(query.where, TruePredicate)
         scatter_entries: list[ClassPlan] = []
         class_slices: dict[str, tuple] = {}
         for shard_plan in shard_plans:
             entry = shard_plan.as_class_plan()
             columns = self._snapshot(schema_name, entry)
             if columns is not None:
-                kernel = None if matcher is match_all else \
+                kernel = None if browse else \
                     query.where.compile_columns(geo_class, columns)
                 class_slices[shard_plan.class_name] = (columns, kernel)
             scatter_entries.append(entry)
@@ -380,7 +387,8 @@ class QueryEngine:
                 selected = rows if kernel is None else kernel(rows)
                 return (columns, selected), len(rows)
             objects = db.fetch_objects(schema_name, class_name, shard.oids)
-            return _row_part(objects, matcher), len(objects)
+            return (_row_part(_refine(objects, query.where, geo_class)),
+                    len(objects))
 
         tasks = [(shard_plan.class_name, shard)
                  for shard_plan in shard_plans
@@ -408,18 +416,6 @@ class QueryEngine:
             rec.inc("query.scatter.merges")
         return self._shape_columns(query, geo_class, parts, report)
 
-    def _compile(self, query: Query, geo_class: GeoClass):
-        """The query's compiled refine closure (timed when observable)."""
-        rec = obs.RECORDER
-        if not rec.enabled:
-            return query.where.compile(geo_class)
-        # Compilation is sub-microsecond; declare the fine-grained
-        # bucket layout before the family is auto-created coarse.
-        rec.registry.histogram("query.compile.seconds",
-                               buckets=obs.MICRO_BUCKETS)
-        with rec.timed("query.compile.seconds"):
-            return query.where.compile(geo_class)
-
     @staticmethod
     def _report(plans, candidates: int) -> dict[str, Any]:
         """The execution report skeleton, truthful about mixed plans."""
@@ -443,7 +439,7 @@ class QueryEngine:
         """The result of an already-filtered match list: one aggregate
         row, or the ordered, limited and projected matches."""
         return self._shape_columns(query, geo_class,
-                                   [_row_part(matches, match_all)], report)
+                                   [_row_part(list(matches))], report)
 
     @staticmethod
     def _order_key(geo_class: GeoClass, query: Query):
@@ -581,9 +577,11 @@ class QueryEngine:
     def _project_columns(self, pairs: list[tuple], geo_class: GeoClass,
                          query: Query) -> list[dict[str, Any]] | None:
         """Projected rows for the surviving (post-limit) pairs: the oid
-        plus each projected path, ``None`` where a path is missing."""
+        plus each projected path, ``None`` where a path is missing. A
+        projected ``oid`` is the object's oid, never an attribute."""
         if query.projection is None:
             return None
+        paths = [path for path in query.projection if path != "oid"]
         #: id(columns) -> (oid column, [(path, value column)])
         resolved: dict[int, tuple] = {}
         rows = []
@@ -592,7 +590,7 @@ class QueryEngine:
             if entry is None:
                 entry = (columns.oids,
                          [(path, columns.path_column(path, geo_class))
-                          for path in query.projection])
+                          for path in paths])
                 resolved[id(columns)] = entry
             oids, path_columns = entry
             row: dict[str, Any] = {"oid": oids[i]}

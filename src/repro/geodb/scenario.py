@@ -157,7 +157,8 @@ class Scenario:
         candidates: list[GeoObject] = []
         for name in class_names:
             candidates.extend(self.extent(name))
-        matches = list(filter(query.where.compile(geo_class), candidates))
+        matches = [obj for obj in candidates
+                   if query.where.matches(obj, geo_class)]
         report = {"plan": "scenario-scan", "index": None,
                   "candidates": len(candidates)}
         return QueryEngine(self.database).shape_rows(query, geo_class,

@@ -26,7 +26,6 @@ from __future__ import annotations
 from .metrics import (
     COUNT_BUCKETS,
     DEFAULT_BUCKETS,
-    MICRO_BUCKETS,
     Counter,
     Gauge,
     Histogram,
@@ -38,7 +37,6 @@ from .tracing import Span, Tracer
 __all__ = [
     "COUNT_BUCKETS",
     "DEFAULT_BUCKETS",
-    "MICRO_BUCKETS",
     "Counter",
     "Gauge",
     "Histogram",

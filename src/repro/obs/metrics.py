@@ -39,14 +39,6 @@ DEFAULT_BUCKETS: tuple[float, ...] = (
 #: Power-of-4 bounds for size-type observations (candidate sets, rows).
 COUNT_BUCKETS: tuple[float, ...] = (1, 4, 16, 64, 256, 1024, 4096, 16384)
 
-#: Finer sub-microsecond bounds for very short code paths (predicate
-#: compilation, cache probes) that DEFAULT_BUCKETS would lump into its
-#: first bucket.
-MICRO_BUCKETS: tuple[float, ...] = (
-    0.000001, 0.0000025, 0.000005, 0.00001, 0.000025, 0.00005,
-    0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005,
-)
-
 LabelKey = tuple[tuple[str, str], ...]
 
 

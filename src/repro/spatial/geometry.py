@@ -63,12 +63,32 @@ class BBox:
 
     @classmethod
     def from_points(cls, points: Iterable[tuple[float, float]]) -> "BBox":
-        box = cls.empty()
-        for x, y in points:
-            box = box.stretched(x, y)
-        if box.is_empty():
+        """The tightest box around a non-empty point set: one min/max
+        pass per bound, no intermediate boxes."""
+        points = tuple(points)
+        if not points:
             raise GeometryError("cannot build bbox from an empty point set")
+        xs = [x for x, __ in points]
+        ys = [y for __, y in points]
+        box = cls.__new__(cls)
+        box.min_x = min(xs)
+        box.min_y = min(ys)
+        box.max_x = max(xs)
+        box.max_y = max(ys)
         return box
+
+    @classmethod
+    def union_all(cls, boxes: Iterable["BBox"]) -> "BBox":
+        """The union of many boxes: one min/max pass per bound — the box
+        a left fold of :meth:`union` builds, without a box per step.
+        Empty boxes add nothing (their infinite bounds never win)."""
+        boxes = list(boxes)
+        min_x = min([box.min_x for box in boxes], default=math.inf)
+        max_x = max([box.max_x for box in boxes], default=-math.inf)
+        if min_x > max_x:
+            return cls.empty()
+        return cls(min_x, min([box.min_y for box in boxes]),
+                   max_x, max([box.max_y for box in boxes]))
 
     def is_empty(self) -> bool:
         return self.min_x > self.max_x
@@ -582,10 +602,7 @@ class _MultiGeometry(Geometry):
         self.members = members
 
     def bbox(self) -> BBox:
-        box = BBox.empty()
-        for m in self.members:
-            box = box.union(m.bbox())
-        return box
+        return BBox.union_all([m.bbox() for m in self.members])
 
     def is_valid(self) -> bool:
         return all(m.is_valid() for m in self.members)

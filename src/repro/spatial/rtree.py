@@ -29,10 +29,7 @@ class _Node:
         self.parent: "_Node | None" = None
 
     def bbox(self) -> BBox:
-        box = BBox.empty()
-        for entry_box, _child in self.entries:
-            box = box.union(entry_box)
-        return box
+        return BBox.union_all([box for box, __ in self.entries])
 
 
 class RTree:

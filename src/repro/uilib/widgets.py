@@ -163,10 +163,8 @@ class DrawingArea(InterfaceObject):
 
     def data_extent(self) -> BBox:
         if self._extent is None:
-            box = BBox.empty()
-            for __, geom, __sym in self._features:
-                box = box.union(geom.bbox())
-            self._extent = box
+            self._extent = BBox.union_all(
+                [geom.bbox() for __, geom, __sym in self._features])
         return self._extent
 
     @property

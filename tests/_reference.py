@@ -10,7 +10,7 @@ engine, so it can judge every engine route (columnar, row, scatter):
   rules (``count`` 0, everything else ``None``), summing floats with
   :func:`math.fsum`;
 * project ``{"oid": ..., path: value}`` with ``None`` for a path that
-  does not resolve.
+  does not resolve; a projected ``oid`` is the object's oid.
 """
 
 from __future__ import annotations
@@ -97,6 +97,8 @@ def evaluate(db, schema_name: str, query) -> tuple[list, list | None]:
     for obj in matches:
         row = {"oid": obj.oid}
         for path in query.projection:
+            if path == "oid":
+                continue
             value = resolve(obj, geo_class, path)
             row[path] = None if value is _ABSENT else value
         rows.append(row)
