@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import statistics
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Iterator
@@ -75,6 +76,21 @@ def print_table(headers: list[str], rows: list[list]) -> None:
     print("  ".join("-" * w for w in widths))
     for row in rows:
         print("  ".join(str(c).ljust(w) for c, w in zip(row, widths)))
+
+
+def median_iqr(values: list[float]) -> dict[str, Any]:
+    """The median and interquartile range of a repeated measurement.
+
+    Quartiles use the inclusive method, so a single run reads an IQR of
+    0. ``runs`` keeps every value in measurement order.
+    """
+    if len(values) == 1:
+        q1 = q3 = values[0]
+    else:
+        q1, __, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": round(statistics.median(values), 3),
+            "iqr": round(q3 - q1, 3),
+            "runs": [round(value, 3) for value in values]}
 
 
 def record_results(filename: str, payload: dict[str, Any],

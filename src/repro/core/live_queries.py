@@ -33,10 +33,6 @@ inapplicable:
 * an unordered ``LIMIT`` result's membership changes (its row order is
   plan-dependent, so no maintained order can be proven equal).
 
-A scatter reshard (``shard_extent`` with a new grid) needs no fallback:
-shard layout changes execution, never content, and the maintained
-result is content.
-
 Correctness under races: write-set listeners run on committing threads
 *outside* the commit lock, so deliveries can arrive out of order. The
 manager serializes on its own lock and applies a write-set only when

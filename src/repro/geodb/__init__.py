@@ -40,7 +40,6 @@ from .wal import FaultInjectingPager, LogShipper, WriteAheadLog
 from .database import GeographicDatabase
 from .mvcc import Version, VersionStore
 from .replication import LocalReplicationSource, RemoteReplicationSource
-from .sharding import Shard, ShardMap, build_shard_map
 from .columns import ClassColumns, ColumnCache
 from .transactions import Transaction, TxnState
 from .query import (
@@ -83,7 +82,6 @@ __all__ = [
     "GeographicDatabase", "Transaction", "TxnState",
     "Version", "VersionStore",
     "LocalReplicationSource", "RemoteReplicationSource",
-    "Shard", "ShardMap", "build_shard_map",
     "ClassColumns", "ColumnCache",
     "Predicate", "Comparison", "SpatialPredicate", "WithinDistance",
     "And", "Or", "Not", "TruePredicate", "Query", "RelateMask",

@@ -17,7 +17,7 @@ list comprehensions over positions, without materializing or calling
 into any object until the surviving rows are known.
 
 Freshness uses the exact mechanism planner :class:`~repro.geodb.planner.
-Statistics` and shard maps already rely on: a column set is stamped with
+Statistics` already relies on: a column set is stamped with
 ``(class commit version, extent cardinality)`` at build time and is
 discarded the moment either moves — live commits, crash-recovery replay,
 replicated batches and resyncs all bump the class version, so no new
@@ -83,7 +83,7 @@ class ClassColumns:
 
     @property
     def row_of(self) -> dict[str, int]:
-        """oid -> row position, for hash-scan and shard-slice selection."""
+        """oid -> row position, for hash-scan selection."""
         if self._row_of is None:
             self._row_of = {oid: i for i, oid in enumerate(self.oids)}
         return self._row_of

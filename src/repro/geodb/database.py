@@ -161,13 +161,6 @@ class GeographicDatabase:
         #: entries self-invalidate on class-version bumps, but snapshot
         #: installs must clear it explicitly (same versions, new objects)
         self._column_cache = None
-        #: (schema, class) -> {"attr": ..., "grid": (gx, gy)} — classes
-        #: whose extents are spatially partitioned for scatter-gather
-        #: query execution (see repro.geodb.sharding)
-        self._shard_configs: dict[tuple[str, str], dict[str, Any]] = {}
-        #: (schema, class) -> cached ShardMap, keyed like planner stats
-        #: on (class commit version, cardinality)
-        self._shard_maps: dict[tuple[str, str], Any] = {}
         #: lazily created tiled raster store (see repro.geodb.raster);
         #: stays None until a raster payload is committed or adopted
         self._raster_store: RasterStore | None = None
@@ -938,10 +931,6 @@ class GeographicDatabase:
                 "class_versions": [
                     [s, c, v] for (s, c), v in self._class_versions.items()
                 ],
-                "shard_configs": [
-                    [s, c, {"attr": cfg["attr"], "grid": list(cfg["grid"])}]
-                    for (s, c), cfg in self._shard_configs.items()
-                ],
                 "rasters": (self._raster_store.export()
                             if self._raster_store is not None else []),
             }
@@ -1008,11 +997,6 @@ class GeographicDatabase:
             self._spatial[key] = RTree.bulk_load(entries, max_entries=16)
         for schema_name, class_name, version in doc.get("class_versions", []):
             self._class_versions[(schema_name, class_name)] = version
-        for schema_name, class_name, cfg in doc.get("shard_configs", []):
-            self._shard_configs[(schema_name, class_name)] = {
-                "attr": cfg["attr"], "grid": tuple(cfg["grid"]),
-            }
-        self._shard_maps.clear()
         # A resync can install versions identical to what a stale column
         # snapshot was stamped with, while the objects are brand new —
         # the version check alone cannot catch that, so drop the cache.
@@ -1148,7 +1132,6 @@ class GeographicDatabase:
                 self._commit_log.clear()
                 self._statistics = None
                 self._column_cache = None
-                self._shard_maps.clear()
                 self.heap = HeapFile(self.pager)
                 self.heap.attach_buffer(self.buffer)
                 # Drop the raster directory with the rest of the state;
@@ -1220,58 +1203,6 @@ class GeographicDatabase:
             attr: (None if raw is None else attrs[attr].type.decode(raw))
             for attr, raw in values.items()
         }
-
-    # ------------------------------------------------------------------
-    # Spatial sharding (scatter-gather query execution)
-    # ------------------------------------------------------------------
-
-    def shard_extent(self, schema_name: str, class_name: str, attr: str,
-                     grid: tuple[int, int] = (2, 2)) -> None:
-        """Partition a class extent spatially for scatter-gather queries.
-
-        ``attr`` must be a geometry attribute; ``grid`` is the (x, y)
-        cell split of the extent's bounding box. The partition itself is
-        computed lazily and re-computed whenever the class's commit
-        version moves (same caching rule as planner statistics). The
-        config replicates to followers via the bootstrap snapshot.
-        """
-        schema = self.get_schema_object(schema_name)
-        attrs = {a.name: a for a in schema.effective_attributes(class_name)}
-        if attr not in attrs or not attrs[attr].is_spatial():
-            raise SchemaError(
-                f"{class_name}.{attr} is not a geometry attribute; "
-                "shards partition on a spatial attribute"
-            )
-        gx, gy = grid
-        if gx < 1 or gy < 1:
-            raise SchemaError(f"shard grid must be >= 1x1, got {grid}")
-        self._shard_configs[(schema_name, class_name)] = {
-            "attr": attr, "grid": (int(gx), int(gy)),
-        }
-        self._shard_maps.pop((schema_name, class_name), None)
-
-    def shard_map(self, schema_name: str, class_name: str):
-        """The class's current :class:`~repro.geodb.sharding.ShardMap`,
-        or None when the class is not sharded. Cached on (class commit
-        version, cardinality) and rebuilt lazily after any commit or
-        replicated batch touching the class."""
-        config = self._shard_configs.get((schema_name, class_name))
-        if config is None:
-            return None
-        from .sharding import build_shard_map
-
-        version = self.class_version(schema_name, class_name)
-        cardinality = len(self.extent(schema_name, class_name))
-        cached = self._shard_maps.get((schema_name, class_name))
-        if (cached is not None and cached.version == version
-                and cached.cardinality == cardinality):
-            return cached
-        shard_map = build_shard_map(
-            self, schema_name, class_name, config["attr"], config["grid"],
-            version=version,
-        )
-        self._shard_maps[(schema_name, class_name)] = shard_map
-        return shard_map
 
     def close(self) -> None:
         """Checkpoint and release a file-backed database and its WAL."""

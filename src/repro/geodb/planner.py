@@ -61,7 +61,6 @@ from ..spatial.geometry import BBox
 FULL_SCAN = "full-scan"
 HASH_SCAN = "hash-scan"
 INDEX_SCAN = "index-scan"
-SCATTER = "scatter"
 
 #: Cost constants (in extent-row-visit units). The absolute scale is
 #: irrelevant; only the ratios steer decisions.
@@ -112,59 +111,6 @@ class ClassPlan:
     def __repr__(self) -> str:
         return (f"<ClassPlan {self.class_name}: {self.kind}"
                 f"{' via ' + self.index if self.index else ''}>")
-
-
-class ShardPlan:
-    """The live shard set for one sharded class of a query's closure.
-
-    Produced by :meth:`QueryPlanner.plan_scatter` when the class's extent
-    is partitioned (see :mod:`repro.geodb.sharding`). ``shards`` holds
-    only the shards the query must actually execute on — grid cells
-    whose bounding box is disjoint from the query's spatial prefilter
-    are pruned, and the residual (no-geometry) shard is pruned whenever
-    the prefilter is a necessary condition of the predicate.
-    """
-
-    __slots__ = ("class_name", "attr", "shards", "total_shards", "windowed")
-
-    def __init__(self, class_name: str, attr: str, shards: list,
-                 total_shards: int, windowed: bool):
-        self.class_name = class_name
-        #: the partition attribute (the geometry the grid is built on)
-        self.attr = attr
-        #: live shards, in shard-map order (residual last if present)
-        self.shards = shards
-        self.total_shards = total_shards
-        #: whether a spatial window on the partition attribute pruned
-        self.windowed = windowed
-
-    @property
-    def pruned(self) -> int:
-        return self.total_shards - len(self.shards)
-
-    def as_class_plan(self) -> ClassPlan:
-        """The report entry for this class: a scatter over live shards."""
-        rows = float(sum(shard.cardinality for shard in self.shards))
-        cost = _SCAN_SETUP * len(self.shards) + rows * _ROW_COST
-        return ClassPlan(
-            self.class_name, SCATTER, None, cost, rows,
-            reason=(f"{len(self.shards)}/{self.total_shards} shards live"
-                    + (" (window pruned)" if self.windowed else "")),
-        )
-
-    def describe(self) -> dict[str, Any]:
-        return {
-            "class": self.class_name,
-            "attr": self.attr,
-            "shards": [shard.shard_id for shard in self.shards],
-            "total_shards": self.total_shards,
-            "pruned": self.pruned,
-            "windowed": self.windowed,
-        }
-
-    def __repr__(self) -> str:
-        return (f"<ShardPlan {self.class_name}: "
-                f"{len(self.shards)}/{self.total_shards} shards>")
 
 
 class ClassStats:
@@ -353,33 +299,6 @@ class QueryPlanner:
         if equality is not None and any(v is None for v in equality[1]):
             equality = None
         return prefilter, equality
-
-    def plan_scatter(self, schema_name: str, class_name: str,
-                     prefilter: tuple[str, BBox] | None) -> ShardPlan | None:
-        """The scatter plan for one class, or None if it is not sharded.
-
-        A class participates in scatter-gather execution when the
-        catalog holds a shard map with at least two shards for it.
-        Pruning applies only when the query's spatial prefilter names
-        the partition attribute: the prefilter extraction already
-        guarantees the window is a *necessary* condition of the
-        predicate, so cells disjoint from it (and the residual shard,
-        whose members have no geometry to intersect anything) cannot
-        contribute a match. A prefilter on a *different* spatial
-        attribute says nothing about the partition geometry — every
-        shard stays live.
-        """
-        shard_map = self._db.shard_map(schema_name, class_name)
-        if shard_map is None or len(shard_map.shards) < 2:
-            return None
-        window = None
-        prune_residual = False
-        if prefilter is not None and prefilter[0] == shard_map.attr:
-            window = prefilter[1]
-            prune_residual = True
-        live = shard_map.live_shards(window, prune_residual)
-        return ShardPlan(class_name, shard_map.attr, live,
-                         len(shard_map.shards), window is not None)
 
     def plan(self, schema_name: str, query) -> list[ClassPlan]:
         """One :class:`ClassPlan` per class of the query's closure."""

@@ -120,8 +120,8 @@ class Predicate:
         ``columns`` is a :class:`~repro.geodb.columns.ClassColumns`
         snapshot; the returned kernel takes an iterable of row positions
         and returns the order-preserved subsequence that satisfies the
-        predicate. Column lookups happen here, at compile time, so
-        kernels are safe to run from scatter worker threads.
+        predicate. Column lookups happen here, at compile time, so a
+        kernel only indexes pre-built columns.
 
         The base implementation calls :meth:`matches` on the aligned
         object snapshot, so predicate subclasses defined outside this

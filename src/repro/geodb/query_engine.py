@@ -18,10 +18,10 @@ The engine evaluates a :class:`repro.geodb.query.Query` against a
    shaper that reads columns (:meth:`QueryEngine._shape_columns`).
 
 Every selection reaches the shaper as a list of ``(columns, selected
-row positions)`` parts, one per closure class (or shard). Full and hash
-scans select **columnar** when the class's version-stamped column
-snapshot (:mod:`repro.geodb.columns`) is fresh: the predicate compiles
-to a fused column kernel
+row positions)`` parts, one per closure class. Full and hash scans
+select **columnar** when the class's version-stamped column snapshot
+(:mod:`repro.geodb.columns`) is fresh: the predicate compiles to a
+fused column kernel
 (:meth:`~repro.geodb.query.Predicate.compile_columns`) that selects row
 positions without touching a single :class:`GeoObject`. Everything
 else — index scans (whose candidates come from the R-tree), a
@@ -29,36 +29,25 @@ mid-apply commit (the seqlock makes the build bail out), an engine
 built with ``use_columns=False`` and :meth:`QueryEngine.shape_rows`
 callers — refines object by object with ``matches`` and wraps the
 matches in a transient, unversioned column batch, so one set of
-ordering, aggregate and projection rules answers every route. The
-per-class plan report records which selection ran (``columns:
-true/false`` plus a reason). The engine always answers at the **latest
-committed state** — MVCC snapshot readers and mid-transaction overlays
-resolve through ``Transaction.query``/``read`` and never reach this
-module.
-
-When a closure class's extent is partitioned into shards
-(:meth:`~repro.geodb.database.GeographicDatabase.shard_extent`), the
-engine switches to **scatter-gather**: the planner prunes the shard set
-against the query's spatial prefilter
-(:meth:`~repro.geodb.planner.QueryPlanner.plan_scatter`), each live
-shard selects independently (sequentially, or on a thread pool when
-``scatter_workers`` is set) and returns a part, and the gather is the
-same shaper over all parts — one sort on the total order ``(value is
-None, value, oid)`` and one aggregate whose float sums are correctly
-rounded (:func:`finalize_aggregate`) — so the result is identical to
-the single-extent path's.
+ordering, aggregate and projection rules answers every route. A mixed
+closure shapes one part per class: one sort on the total order
+``(value is None, value, oid)`` and one aggregate whose float sums are
+correctly rounded (:func:`finalize_aggregate`). The per-class plan
+report records which selection ran (``columns: true/false`` plus a
+reason). The engine always answers at the **latest committed state** —
+MVCC snapshot readers and mid-transaction overlays resolve through
+``Transaction.query``/``read`` and never reach this module.
 
 The returned :class:`QueryResult` carries the rows plus an execution
 report (overall plan, truthful per-class plan list, candidates
-examined, scatter fan-out) used by the explanation interaction mode,
-the CLI ``query`` command and benchmarks C5/C11/C13.
+examined) used by the explanation interaction mode, the CLI ``query``
+command and benchmarks C5/C11.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from concurrent.futures import ThreadPoolExecutor
 from itertools import repeat
 from typing import Any
 
@@ -67,8 +56,7 @@ from ..errors import QueryError
 from .columns import ClassColumns
 from .database import GeographicDatabase
 from .instances import GeoObject
-from .planner import (FULL_SCAN, HASH_SCAN, INDEX_SCAN, SCATTER, ClassPlan,
-                      QueryPlanner, ShardPlan)
+from .planner import FULL_SCAN, HASH_SCAN, INDEX_SCAN, ClassPlan, QueryPlanner
 from .query import MISSING, Predicate, Query, TruePredicate, compile_path
 from .schema import GeoClass
 
@@ -79,10 +67,10 @@ def finalize_aggregate(op: str, values) -> Any:
     ``count`` counts the values; ``min``/``max``/``sum``/``avg`` yield
     ``None`` on empty input. A float sum is computed with
     :func:`math.fsum` — correctly rounded, so independent of the order
-    the values arrive in (extent order, shard order, a live watch's
-    contribution map); integer sums stay plain ``sum`` and keep their
-    type. The one statement of these rules for the engine's shaper and
-    live-query recombination.
+    the values arrive in (extent order, closure class order, a live
+    watch's contribution map); integer sums stay plain ``sum`` and keep
+    their type. The one statement of these rules for the engine's shaper
+    and live-query recombination.
     """
     if op == "count":
         return len(values)
@@ -185,13 +173,6 @@ class QueryResult:
                 else:
                     detail += " [rows]"
             lines.append(detail)
-        if r.get("scatter"):
-            scatter = r["scatter"]
-            lines.append(
-                f"scatter: {scatter['shards']} shard(s) executed, "
-                f"{scatter['pruned']} pruned, "
-                f"workers={scatter['workers']}"
-            )
         if r.get("cache"):
             lines.append(f"cache: {r['cache']}")
         return "\n".join(lines)
@@ -201,14 +182,9 @@ class QueryEngine:
     """Executes queries against one database."""
 
     def __init__(self, database: GeographicDatabase,
-                 scatter_workers: int = 0, use_columns: bool = True):
+                 use_columns: bool = True):
         self.database = database
         self.planner = QueryPlanner(database)
-        #: thread-pool width for scatter sub-queries; 0/1 = sequential.
-        #: Sub-queries are pure reads, so threading is always safe; it
-        #: only pays off when candidate fetch releases the GIL or the
-        #: host has cores to spare.
-        self.scatter_workers = scatter_workers
         #: columnar execution switch — False forces the row path on
         #: every scan (benchmark baselines, equivalence tests)
         self.use_columns = use_columns
@@ -237,16 +213,9 @@ class QueryEngine:
         geo_class = schema.get_class(query.class_name)
         planner = self.planner
         prefilter, equality = planner.prefilters(query)
-        closure = planner.class_closure(schema_name, query)
-        shard_plans = [
-            shard_plan for class_name in closure
-            if (shard_plan := planner.plan_scatter(
-                schema_name, class_name, prefilter)) is not None
-        ]
-        sharded = {shard_plan.class_name for shard_plan in shard_plans}
         plans = [
             planner.plan_class(schema_name, class_name, prefilter, equality)
-            for class_name in closure if class_name not in sharded
+            for class_name in planner.class_closure(schema_name, query)
         ]
         parts: list[tuple] = []
         candidates = 0
@@ -255,10 +224,6 @@ class QueryEngine:
                                           equality, query, geo_class)
             parts.append(part)
             candidates += examined
-        if shard_plans:
-            return self._execute_scatter(schema_name, geo_class, query,
-                                         plans, shard_plans, parts,
-                                         candidates)
         return self._shape_columns(query, geo_class, parts,
                                    self._report(plans, candidates))
 
@@ -340,82 +305,6 @@ class QueryEngine:
                 self._hash_oids(schema_name, class_name, equality))
         return db.extent(schema_name, class_name)
 
-    # -- scatter-gather --------------------------------------------------------
-
-    def _execute_scatter(self, schema_name: str, geo_class: GeoClass,
-                         query: Query, plans: list[ClassPlan],
-                         shard_plans: list[ShardPlan], parts: list[tuple],
-                         candidates: int) -> QueryResult:
-        """Scatter the query over live shards, gather through the shaper.
-
-        ``parts`` already holds the unsharded closure classes'
-        selections; each live shard adds one more. Sharded classes with
-        a fresh column snapshot select their shards as **column
-        slices**: the kernel is compiled once per class (here, on the
-        gather thread) and each shard's oid list maps to row positions.
-        Otherwise a shard fetches its members and refines them with
-        ``matches`` into a batch. The gather is :meth:`_shape_columns`
-        over every part: one global sort under the total order, one
-        aggregate, or plain concatenation in part order.
-        """
-        db = self.database
-        rec = obs.RECORDER
-        # One snapshot + one compiled kernel per sharded class, shared by
-        # all of its shard tasks (kernels close over pre-built columns,
-        # so worker threads only read). The report entry records the
-        # per-class outcome.
-        browse = isinstance(query.where, TruePredicate)
-        scatter_entries: list[ClassPlan] = []
-        class_slices: dict[str, tuple] = {}
-        for shard_plan in shard_plans:
-            entry = shard_plan.as_class_plan()
-            columns = self._snapshot(schema_name, entry)
-            if columns is not None:
-                kernel = None if browse else \
-                    query.where.compile_columns(geo_class, columns)
-                class_slices[shard_plan.class_name] = (columns, kernel)
-            scatter_entries.append(entry)
-
-        def run_shard(task):
-            class_name, shard = task
-            slice_ = class_slices.get(class_name)
-            if slice_ is not None:
-                columns, kernel = slice_
-                row_of = columns.row_of
-                rows = [row for oid in shard.oids
-                        if (row := row_of.get(oid)) is not None]
-                selected = rows if kernel is None else kernel(rows)
-                return (columns, selected), len(rows)
-            objects = db.fetch_objects(schema_name, class_name, shard.oids)
-            return (_row_part(_refine(objects, query.where, geo_class)),
-                    len(objects))
-
-        tasks = [(shard_plan.class_name, shard)
-                 for shard_plan in shard_plans
-                 for shard in shard_plan.shards]
-        workers = min(self.scatter_workers or 1, max(len(tasks), 1))
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(run_shard, tasks))
-        else:
-            results = [run_shard(task) for task in tasks]
-        for part, examined in results:
-            parts.append(part)
-            candidates += examined
-
-        report = self._report(plans + scatter_entries, candidates)
-        report["plan"] = SCATTER
-        report["scatter"] = {
-            "classes": [shard_plan.describe() for shard_plan in shard_plans],
-            "shards": len(tasks),
-            "pruned": sum(shard_plan.pruned for shard_plan in shard_plans),
-            "workers": workers,
-        }
-        if rec.enabled:
-            rec.inc("query.scatter.shards", amount=len(tasks))
-            rec.inc("query.scatter.merges")
-        return self._shape_columns(query, geo_class, parts, report)
-
     @staticmethod
     def _report(plans, candidates: int) -> dict[str, Any]:
         """The execution report skeleton, truthful about mixed plans."""
@@ -473,7 +362,7 @@ class QueryEngine:
         one shaper.
 
         ``parts`` holds one ``(columns, selected row positions)`` pair
-        per closure class or shard, in plan order: column snapshots for
+        per closure class, in plan order: column snapshots for
         columnar selections, transient batches for row-refined ones.
         Ordering, aggregation and projection read value columns;
         objects are referenced only for the rows that survive selection
@@ -504,7 +393,7 @@ class QueryEngine:
         The key tuples are exactly :meth:`_order_key`'s — ``(value is
         None, value, oid)`` with MISSING folded to None — and the oid
         tiebreak makes the ordering total, so sorting any partition of
-        the matches (classes, shards) yields one sequence. A ``limit``
+        the matches (closure classes) yields one sequence. A ``limit``
         switches the full sort to a heap top-k (same total order, so
         the same prefix) and is applied before the pairs are rebuilt.
         """

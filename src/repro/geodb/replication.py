@@ -18,7 +18,7 @@ it talks to a *source* object with three methods:
 Two implementations cover the deployment shapes:
 
 * :class:`LocalReplicationSource` — leader and follower share a process
-  (scatter-gather over local shards, tests, benchmarks). Wraps the
+  (in-process read replicas, tests, benchmarks). Wraps the
   leader's :class:`~repro.geodb.wal.LogShipper` directly.
 * :class:`RemoteReplicationSource` — the follower lives in another
   process and pulls over the wire through a

@@ -1,7 +1,8 @@
 """A naive reference evaluator for :class:`repro.geodb.query.Query`.
 
 Plain Python over the class extents, sharing no code with the query
-engine, so it can judge every engine route (columnar, row, scatter):
+engine, so it can judge every engine route (columnar, row, mixed
+closure):
 
 * filter with the interpreted ``Predicate.matches``;
 * order with ``sorted`` on ``(value is None, value, oid)`` plus
@@ -53,7 +54,7 @@ def evaluate(db, schema_name: str, query) -> tuple[list, list | None]:
 
     Objects of an unordered result come in extent order; callers
     compare them as a set, since the engine's order then depends on the
-    plan (extent order, shard order).
+    plan (extent order, closure class order).
     """
     schema = db.get_schema_object(schema_name)
     geo_class = schema.get_class(query.class_name)

@@ -279,24 +279,6 @@ class TestHashScanParity:
                        for p in index_plans)
 
 
-class TestScatterColumns:
-    def test_scatter_answers_match_row_path(self, db):
-        db.shard_extent(SCHEMA, "Pole", "pole_location", grid=(2, 2))
-        for text in (
-            "select * from Pole where status = 'ok'",
-            "select * from Pole order by desc install_year limit 4",
-            "select count(*), min(install_year) from Pole",
-        ):
-            cols = QueryEngine(db).execute(SCHEMA, parse_query(text))
-            rows = QueryEngine(db, use_columns=False).execute(
-                SCHEMA, parse_query(text))
-            assert cols.report["plan"] == "scatter"
-            assert answer(cols) == answer(rows)
-        shard_entries = [p for p in cols.report["plans"]
-                         if p["plan"] == "scatter"]
-        assert shard_entries and all(p["columns"] for p in shard_entries)
-
-
 class TestResultAndStatsBatching:
     """The two perf satellites: cached oids(), batched snapshots."""
 

@@ -6,21 +6,26 @@ membership) and ``compile_columns`` judges column snapshots. A
 predicate subclass that defines only ``matches`` reaches the column
 route through the base-class kernel. These tests run such a custom
 predicate, alone and inside combinators, over every engine route —
-columnar, ``use_columns=False`` and a 2×2 scatter — and through a live
-watch under commits, against ``tests/_reference.py``. They also pin the
-projected ``oid``: the object's oid on every route.
+columnar, ``use_columns=False`` and a mixed closure whose rows are split
+over two classes — and through a live watch under commits, against
+``tests/_reference.py``. They also pin the projected ``oid`` (the
+object's oid on every route) and float aggregates (the reference's
+correctly rounded answer on every route).
 """
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 
 from repro.core.kernel import GISKernel
-from repro.geodb import GeographicDatabase, QueryEngine
+from repro.geodb import GeoClass, GeographicDatabase, QueryEngine
 from repro.geodb.query import (And, Comparison, Not, Or, Predicate, Query,
                                SpatialPredicate)
 from repro.geodb.query_language import parse_query
 from repro.spatial import Point, Polygon
+from repro.workloads import PhoneNetParams, build_phone_net_database
 from repro.workloads.txn_mix import MIX_CLASS, MIX_SCHEMA, build_mix_schema
 from tests import _reference
 from tests.test_properties_columns import comparable
@@ -76,15 +81,36 @@ def db():
     return database
 
 
+#: a test-local subclass of the mix class
+SUBCLASS = "SubFeature"
+
+
+def mixed_copy(db):
+    """The same rows under the same oids, every other one moved to
+    :data:`SUBCLASS`; only the mix class keeps the name index."""
+    schema = build_mix_schema()
+    schema.add_class(GeoClass(SUBCLASS, superclass=MIX_CLASS))
+    mixed = GeographicDatabase("evaluators-mixed")
+    mixed.register_schema(schema)
+    with mixed.transaction() as txn:
+        for i, obj in enumerate(db.extent(MIX_SCHEMA, MIX_CLASS)):
+            txn.insert(MIX_SCHEMA, SUBCLASS if i % 2 else MIX_CLASS,
+                       obj.values(), oid=obj.oid)
+    mixed.create_attribute_index(MIX_SCHEMA, MIX_CLASS, "name")
+    return mixed
+
+
 def route_results(db, query):
-    """(route name, result) for the columnar, row and scatter routes."""
+    """(route name, result) for the columnar, row and mixed-closure
+    routes; the mixed closure shapes two parts into the same answer."""
     yield "columns", QueryEngine(db).execute(MIX_SCHEMA, query)
     yield "rows", QueryEngine(db, use_columns=False).execute(MIX_SCHEMA,
                                                              query)
-    db.shard_extent(MIX_SCHEMA, MIX_CLASS, "location", grid=(2, 2))
-    result = QueryEngine(db).execute(MIX_SCHEMA, query)
-    assert result.report["plan"] == "scatter"
-    yield "scatter", result
+    closure_query = copy.copy(query)
+    closure_query.include_subclasses = True
+    result = QueryEngine(mixed_copy(db)).execute(MIX_SCHEMA, closure_query)
+    assert len(result.report["plans"]) == 2
+    yield "mixed closure", result
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -151,3 +177,18 @@ def test_projected_oid_in_live_rows(db):
         assert [row["oid"] for row in result.rows] == result.oids()
         assert result.rows == QueryEngine(db).execute(
             MIX_SCHEMA, parse_query(text)).rows
+
+
+def test_phone_net_float_aggregates_equal_reference():
+    """Float sum/avg over the 168-pole phone net are the reference's
+    correctly rounded answer on the columnar and row routes. Only Pole
+    declares them, so the shaper merges one part here; a live watch's
+    arrival-order independence is pinned in ``test_live_queries.py``."""
+    db = build_phone_net_database(PhoneNetParams(
+        blocks_x=6, blocks_y=6, poles_per_street=12))
+    query = parse_query("select sum(pole_composition.pole_height), "
+                        "avg(pole_composition.pole_diameter) from Pole")
+    matches, expected = _reference.evaluate(db, "phone_net", query)
+    assert len(matches) == 168
+    for engine in (QueryEngine(db), QueryEngine(db, use_columns=False)):
+        assert engine.execute("phone_net", query).rows == expected

@@ -12,9 +12,9 @@ content actually changed. These tests check the contract three ways:
   every single commit the maintained result must match a fresh
   execution, and the presence of an update must match an actual
   content change (the per-session delivery oracle);
-* the same churn with a scatter-sharded extent and replica-routed
-  reads underneath, and over the wire with two clients whose pushes
-  must route only to the connection whose watch changed.
+* the same churn with replica-routed reads underneath, and over the
+  wire with two clients whose pushes must route only to the
+  connection whose watch changed.
 """
 
 from __future__ import annotations
@@ -340,15 +340,12 @@ class TestRandomizedChurn:
         # the mix must actually exercise both paths
         assert stats["delta_applied"] > stats["fallback_reexec"] > 0
 
-    def test_churn_over_sharded_extent_with_replica_reads(self, db):
-        """Scatter-sharded execution underneath changes nothing: shard
-        layout affects how a fallback executes, never what the
-        maintained result contains. Replica-routed reads of the same
-        queries agree with the maintained results."""
+    def test_churn_with_replica_reads(self, db):
+        """Replica-routed reads of the watched queries agree with the
+        maintained results after a churn."""
         from repro.geodb import MemoryPager, WriteAheadLog
 
         db.attach_wal(WriteAheadLog(MemoryPager(), sync_mode="none"))
-        db.shard_extent(MIX_SCHEMA, MIX_CLASS, "location", grid=(2, 2))
         with GISKernel(db) as kernel:
             follower = GeographicDatabase.follow(
                 LocalReplicationSource(db), name="r0")
@@ -358,8 +355,6 @@ class TestRandomizedChurn:
                        for text in WATCHED]
             run_churn(db, kernel, session, watches, random.Random(99),
                       commits=40)
-            # reshard mid-stream: content is unaffected
-            db.shard_extent(MIX_SCHEMA, MIX_CLASS, "location", grid=(4, 2))
             run_churn(db, kernel, session, watches, random.Random(7),
                       commits=20, prefix="m")
             for watch, text in watches:

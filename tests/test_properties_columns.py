@@ -7,7 +7,10 @@ agree on membership, order, projected rows and aggregates — and a
 commit after the columns are warm must never leave a stale answer
 behind (the version stamp, not luck, keeps them equal). Since every
 route shapes through one shaper, the routes are also checked against
-an independent reference evaluator (``tests/_reference.py``).
+an independent reference evaluator (``tests/_reference.py``) — among
+them a mixed closure, where a test-local subclass holds every other
+row, so the sort, the top-k and the float ``sum``/``avg`` merge two
+parts.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ from __future__ import annotations
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.geodb import GeographicDatabase, MemoryPager, QueryEngine
+from repro.geodb import (FLOAT, Attribute, GeoClass, GeographicDatabase,
+                         MemoryPager, QueryEngine)
 from repro.geodb.query_language import parse_query
 from repro.spatial import Point
 from repro.workloads import build_mix_schema
@@ -32,16 +36,34 @@ rows_strategy = st.lists(
 
 OPS = ["=", "!=", "<", "<=", ">", ">="]
 
+#: a test-local subclass of the mix class; a mixed database puts every
+#: other generated row in it
+SUBCLASS = "SubFeature"
 
-def make_db(rows) -> GeographicDatabase:
+AGGREGATES = ("count(*), min(size), max(size), avg(size), "
+              "sum(weight), avg(weight)")
+
+
+def build_schema():
+    """The mix schema plus a float ``weight`` and :data:`SUBCLASS`."""
+    schema = build_mix_schema()
+    schema.get_class(MIX_CLASS).add_attribute(Attribute("weight", FLOAT))
+    schema.add_class(GeoClass(SUBCLASS, superclass=MIX_CLASS))
+    return schema
+
+
+def make_db(rows, mixed=False) -> GeographicDatabase:
     db = GeographicDatabase("props", pager=MemoryPager())
-    db.register_schema(build_mix_schema())
+    db.register_schema(build_schema())
     if rows:
         with db.transaction() as txn:
             for i, (name, size, located) in enumerate(rows):
-                txn.insert(MIX_SCHEMA, MIX_CLASS, {
+                class_name = SUBCLASS if mixed and i % 2 else MIX_CLASS
+                txn.insert(MIX_SCHEMA, class_name, {
                     "name": name,
                     "size": size,
+                    # tenths: float sums that depend on order
+                    "weight": None if size is None else size / 10,
                     "location": Point(float(i % 7), float(i % 5))
                                 if located else None,
                 })
@@ -69,15 +91,11 @@ def where_clauses(draw):
 
 @st.composite
 def queries(draw):
-    select = draw(st.sampled_from([
-        "*",
-        "oid, name, size",
-        "count(*), min(size), max(size), avg(size)",
-    ]))
+    select = draw(st.sampled_from(["*", "oid, name, size", AGGREGATES]))
     text = f"select {select} from {MIX_CLASS}"
     if draw(st.booleans()):
         text += f" where {draw(where_clauses())}"
-    if select != "count(*), min(size), max(size), avg(size)":
+    if select != AGGREGATES:
         if draw(st.booleans()):
             direction = draw(st.sampled_from(["", "desc "]))
             text += f" order by {direction}size"
@@ -128,23 +146,22 @@ EXAMPLE_ROWS = [("ash", 5, True), ("beech", None, True), ("cedar", 5, False),
          text="select * from Feature where name != 'beech' "
               "order by desc size limit 4")
 @example(rows=EXAMPLE_ROWS,
-         text="select count(*), min(size), max(size), avg(size) "
-              "from Feature where size >= 0")
+         text=f"select {AGGREGATES} from Feature where size >= 0")
 def test_every_route_equals_reference(rows, text):
-    """Columnar, row and 2x2 scatter routes all answer like the naive
-    reference evaluator — order, membership, rows and aggregates."""
-    db = make_db(rows)
-    query = parse_query(text)
-    expected = comparable(query, *_reference.evaluate(db, MIX_SCHEMA, query))
-    results = [QueryEngine(db).execute(MIX_SCHEMA, query),
-               QueryEngine(db, use_columns=False).execute(MIX_SCHEMA, query)]
-    db.shard_extent(MIX_SCHEMA, MIX_CLASS, "location", grid=(2, 2))
-    results.append(QueryEngine(db).execute(MIX_SCHEMA, query))
-    shard_map = db.shard_map(MIX_SCHEMA, MIX_CLASS)
-    if shard_map is not None and len(shard_map.shards) > 1:
-        assert results[-1].report["plan"] == "scatter"
-    for result in results:
-        assert comparable(query, result.objects, result.rows) == expected
+    """Columnar and row routes, on one class and on a mixed closure,
+    all answer like the naive reference evaluator — order, membership,
+    rows and aggregates."""
+    for mixed in (False, True):
+        db = make_db(rows, mixed=mixed)
+        query = parse_query(text + " including subclasses" if mixed
+                            else text)
+        expected = comparable(query,
+                              *_reference.evaluate(db, MIX_SCHEMA, query))
+        for engine in (QueryEngine(db), QueryEngine(db, use_columns=False)):
+            result = engine.execute(MIX_SCHEMA, query)
+            assert len(result.report["plans"]) == (2 if mixed else 1)
+            assert comparable(query, result.objects, result.rows) \
+                == expected, (mixed, engine.use_columns)
 
 
 @settings(max_examples=60, deadline=None)

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core import GISKernel, QueryResultCache
-from repro.geodb import Query, QueryEngine, parse_query, run_query
+from repro.geodb import (GeographicDatabase, MemoryPager, Query, QueryEngine,
+                         WriteAheadLog, parse_query, run_query)
 from repro.geodb.query import SpatialPredicate
 from repro.geodb.catalog import KIND_STATISTICS, MetadataCatalog
 from repro.geodb.planner import (
@@ -14,6 +15,8 @@ from repro.geodb.planner import (
     _overlap_ratio,
 )
 from repro.spatial import BBox, LineString, Point
+from repro.workloads import build_mix_schema
+from repro.workloads.txn_mix import MIX_CLASS, MIX_SCHEMA
 
 
 class TestPlanDecisions:
@@ -164,6 +167,47 @@ class TestStatistics:
         first = planner.class_closure("phone_net", query)
         assert first == planner.class_closure("phone_net", query)
         assert set(first) == {"NetworkElement", "Pole", "Duct", "Cable"}
+
+
+class TestStatisticsAfterRecovery:
+    """Regression: planner statistics must not survive ``recover()`` stale.
+
+    Replay bumps the commit version of every class it touches, and the
+    statistics cache keys on that version, so a plan computed before
+    recovery can never be reused after it.
+    """
+
+    def _crashed_pagers(self):
+        wal_pager = MemoryPager()
+        db = GeographicDatabase("mix", pager=MemoryPager())
+        db.register_schema(build_mix_schema())
+        db.attach_wal(WriteAheadLog(wal_pager, sync_mode="none"))
+        for i in range(6):
+            db.insert(MIX_SCHEMA, MIX_CLASS,
+                      {"name": f"r{i}", "size": i,
+                       "location": Point(i * 10.0, i * 10.0)})
+        # no checkpoint: the heap "disk" is empty, all state is in the WAL
+        return wal_pager
+
+    def test_recover_bumps_versions_and_refreshes_statistics(self):
+        wal_pager = self._crashed_pagers()
+        db = GeographicDatabase("mix", pager=MemoryPager())
+        db.register_schema(build_mix_schema())
+        db.load_from_storage()
+        db.attach_wal(WriteAheadLog(wal_pager, sync_mode="none"))
+        # warm the planner's view of the (still empty) pre-recovery world
+        stale = db.statistics.for_class(MIX_SCHEMA, MIX_CLASS)
+        assert stale.cardinality == 0
+        version_before = db.class_version(MIX_SCHEMA, MIX_CLASS)
+        db.recover()
+        assert db.class_version(MIX_SCHEMA, MIX_CLASS) > version_before
+        fresh = db.statistics.for_class(MIX_SCHEMA, MIX_CLASS)
+        assert fresh is not stale
+        assert fresh.cardinality == 6
+        # and a plan built now sees the recovered rows
+        result = run_query(db, MIX_SCHEMA,
+                           "select count(*) from Feature")
+        assert result.rows[0]["count(*)"] == 6
 
 
 class TestQueryResultCache:
