@@ -151,8 +151,8 @@ def run_metrics_sample() -> None:
             pool.run(interactions_per_session=INTERACTIONS, seed=97)
         finally:
             pool.shutdown()
-        print_metrics(["engine.decision_cache", "kernel.sessions",
-                       "dispatcher.interactions", "rules.evaluated"])
+        print_metrics(["engine.decision_cache", "dispatcher.interactions",
+                       "rules.evaluated"])
 
 
 def test_c8_concurrent_sessions(capsys):

@@ -90,7 +90,7 @@ def run_metrics_sample() -> None:
     """One instrumented fsync-mode run, for the observability report."""
     with capture_metrics():
         run_workload("fsync", BATCH * 2, BATCH)
-        print_metrics(["wal.", "txn.", "buffer.write_allocs"])
+        print_metrics(["wal.", "txn."])
 
 
 def test_c9_wal_overhead(capsys):

@@ -22,13 +22,8 @@ Commands (also printed by ``help``)::
     explain <window>          why a window looks the way it does
     close <window>            close a window
     html <path>               export the screen as a HTML page
-    stats [json]              session statistics + live metrics registry
+    status [path] [json]      status tree, or its subtree at a dotted path
     trace [json|all]          span tree of the last interaction
-    wal-status [json]         write-ahead log state (sync mode, counters)
-    repl-status [json]        replication state (per-follower LSN and lag)
-    watch-status [json]       live queries: watches, deltas, fallbacks
-    raster-status [json]      tiled raster store (tiles, pyramid, reads)
-    column-status [json]      columnar scan caches (sizes, versions, hit ratios)
     help                      this command list
     quit | exit               leave
 
@@ -88,8 +83,7 @@ class CommandLoop:
     def dispatch(self, line: str) -> None:
         command, __, rest = line.partition(" ")
         rest = rest.strip()
-        handler = getattr(
-            self, f"cmd_{command.lower().replace('-', '_')}", None)
+        handler = getattr(self, f"cmd_{command.lower()}", None)
         if handler is None:
             self.emit(f"unknown command {command!r}; try 'help'")
             return
@@ -236,21 +230,30 @@ class CommandLoop:
             f.write(page)
         self.emit(f"wrote {len(page)} bytes to {rest}")
 
-    def cmd_stats(self, rest: str) -> None:
-        if rest.strip() == "json":
-            if not obs.is_enabled():
-                self.emit("observability is disabled; no registry to export")
+    def cmd_status(self, rest: str) -> None:
+        """Print the kernel status tree, or the subtree at a dotted path."""
+        words = rest.split()
+        as_json = words[-1:] == ["json"]
+        if as_json:
+            words.pop()
+        path = words[0] if words else ""
+        tree = self.session.kernel.stats()
+        node = tree
+        for key in path.split(".") if path else ():
+            if isinstance(node, dict) and key in node:
+                node = node[key]
+            elif isinstance(node, list) and key.isdigit() \
+                    and int(key) < len(node):
+                node = node[int(key)]
+            else:
+                self.emit(f"unknown status path {path!r}; top-level keys: "
+                          f"{', '.join(tree)}")
                 return
-            self.emit(json.dumps(obs.RECORDER.registry.export(), indent=2))
+        if as_json:
+            self.emit(json.dumps(node, indent=2))
             return
-        for key, value in self.session.stats().items():
+        for key, value in _flatten(node, path):
             self.emit(f"  {key}: {value}")
-        if obs.is_enabled():
-            self.emit("-- metrics --")
-            self.emit(obs.RECORDER.registry.render_table())
-        else:
-            self.emit("(observability disabled; enable with repro.obs.enable() "
-                      "for live counters)")
 
     def cmd_trace(self, rest: str) -> None:
         """Dump pipeline traces recorded by the observability layer."""
@@ -278,113 +281,6 @@ class CommandLoop:
         else:
             self.emit(span.render())
 
-    def cmd_wal_status(self, rest: str) -> None:
-        """Report the database's write-ahead log state."""
-        wal = getattr(self.session.database, "wal", None)
-        if wal is None:
-            self.emit("no write-ahead log attached (in-memory session); "
-                      "open a database with GeographicDatabase.open() "
-                      "for durability")
-            return
-        status = wal.stats()
-        if rest.strip() == "json":
-            self.emit(json.dumps(status, indent=2))
-            return
-        for key, value in status.items():
-            self.emit(f"  {key}: {value}")
-
-    def cmd_repl_status(self, rest: str) -> None:
-        """Report leader shipping state and per-follower LSN/lag."""
-        status = self.session.kernel.replication_status()
-        if rest.strip() == "json":
-            self.emit(json.dumps(status, indent=2))
-            return
-        leader = status["leader"]
-        self.emit(f"  leader: {leader['name']}  lsn={leader['lsn']}")
-        shipper = leader.get("shipper")
-        if shipper:
-            self.emit(f"    shipped batches: {shipper['shipped_batches']}"
-                      f"  retained: {shipper['retained']}"
-                      f"  snapshot handoffs: {shipper['snapshot_handoffs']}")
-        else:
-            self.emit("    (log shipping not enabled)")
-        replicas = status["replicas"]
-        if not replicas:
-            self.emit("  no replicas attached")
-            return
-        for replica in replicas:
-            self.emit(f"  replica: {replica['name']}  lsn={replica['lsn']}"
-                      f"  lag={replica['lag']}"
-                      f"  applied={replica['applied_batches']}"
-                      f"  resyncs={replica['resyncs']}")
-
-    def cmd_watch_status(self, rest: str) -> None:
-        """Report the kernel's live queries and their maintenance mix."""
-        live = self.session.kernel.live
-        status = {"summary": live.stats(), "watches": live.watch_status()}
-        if rest.strip() == "json":
-            self.emit(json.dumps(status, indent=2))
-            return
-        summary = status["summary"]
-        self.emit(f"  watches: {summary['watches']}"
-                  f"  standing queries: {summary['queries']}"
-                  f"  deltas: {summary['delta_applied']}"
-                  f"  re-execs: {summary['fallback_reexec']}"
-                  f"  pushes: {summary['pushes']}")
-        if not status["watches"]:
-            self.emit("  no live queries registered")
-            return
-        for row in status["watches"]:
-            self.emit(f"  {row['watch']} [{row['session']}]"
-                      f" {row['schema']}: {row['query']}")
-            self.emit(f"    rows={row['rows']}  deltas={row['deltas']}"
-                      f"  fallbacks={row['fallbacks']}"
-                      f"  last={row['last']}  pending={row['pending']}")
-
-    def cmd_raster_status(self, rest: str) -> None:
-        """Report the tiled raster store (directory, pyramid, counters)."""
-        store = getattr(self.session.database, "_raster_store", None)
-        if store is None:
-            self.emit("no rasters stored (commit a Raster attribute first)")
-            return
-        status = store.status()
-        if rest.strip() == "json":
-            self.emit(json.dumps(status, indent=2))
-            return
-        self.emit(f"  rasters: {status['rasters']}"
-                  f"  tiles: {status['tiles']}"
-                  f"  tile pages: {status['tile_pages']}"
-                  f"  free pages: {status['free_pages']}")
-        self.emit(f"  tile size: {status['tile_size']}px")
-        for level, count in status["tiles_per_level"].items():
-            self.emit(f"    level {level}: {count} tiles")
-        self.emit(f"  tile reads: {status['tile_reads']}"
-                  f"  tile writes: {status['tile_writes']}"
-                  f"  window reads: {status['window_reads']}")
-
-    def cmd_column_status(self, rest: str) -> None:
-        """Report the columnar scan caches (sizes, versions, hit ratios)."""
-        cache = getattr(self.session.database, "_column_cache", None)
-        if cache is None:
-            self.emit("no column caches built (run an analysis query first)")
-            return
-        status = cache.status()
-        if rest.strip() == "json":
-            self.emit(json.dumps(status, indent=2))
-            return
-        summary = status["summary"]
-        ratio = summary["hit_ratio"]
-        self.emit(f"  classes: {summary['classes']}"
-                  f"  rows: {summary['rows']}"
-                  f"  columns: {summary['columns']}")
-        self.emit(f"  builds: {summary['builds']}"
-                  f"  hits: {summary['hits']}"
-                  f"  invalidations: {summary['invalidations']}"
-                  f"  hit ratio: {'n/a' if ratio is None else ratio}")
-        for row in status["classes"]:
-            self.emit(f"  {row['schema']}.{row['class']} v{row['version']}:"
-                      f" {row['rows']} rows, {row['columns']} column(s)")
-
     def cmd_quit(self, rest: str) -> None:
         self._running = False
         self.emit("bye")
@@ -395,14 +291,13 @@ class CommandLoop:
 
     @classmethod
     def command_names(cls) -> list[str]:
-        """Every dispatchable command, in dash form, sorted.
+        """Every dispatchable command, sorted.
 
         Derived from the ``cmd_*`` attributes :meth:`dispatch` resolves
         against, so it cannot drift from the actual dispatch table.
         """
         return sorted(
-            name[len("cmd_"):].replace("_", "-")
-            for name in dir(cls) if name.startswith("cmd_")
+            name[len("cmd_"):] for name in dir(cls) if name.startswith("cmd_")
         )
 
     @classmethod
@@ -414,7 +309,7 @@ class CommandLoop:
 
     @classmethod
     def documented_command_names(cls) -> list[str]:
-        """Commands named in the help listing, in dash form, sorted."""
+        """Commands named in the help listing, sorted."""
         names: set[str] = set()
         for line in cls.help_text().splitlines():
             words = line.split()
@@ -428,12 +323,23 @@ class CommandLoop:
         return sorted(names)
 
 
+def _flatten(node, prefix: str):
+    """``(dotted path, leaf)`` pairs of a status subtree, in tree order."""
+    if isinstance(node, (dict, list)) and node:
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, value in items:
+            yield from _flatten(value, f"{prefix}.{key}" if prefix else
+                                str(key))
+    else:
+        yield prefix, node
+
+
 def build_demo_session(user: str, category: str | None, application: str,
                        figure6: bool) -> GISSession:
     """The out-of-the-box demo: the §4 phone-net database.
 
-    Observability is enabled *before* the database is built so ``stats``
-    shows the full cost of populating it, too.
+    Observability is enabled *before* the database is built so
+    ``status metrics`` shows the full cost of populating it, too.
     """
     from .core import GISKernel
     from .lang import FIGURE_6_PROGRAM
@@ -453,7 +359,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-browse",
         description="interactive GIS interface browser (paper demo)",
-        # Every dash command is visible from --help, not only from the
+        # Every command is visible from --help, not only from the
         # in-loop ``help`` command (kept in sync by tests/test_cli.py).
         epilog="commands:\n" + CommandLoop.help_text(),
         formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -463,8 +369,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--figure6", action="store_true",
                         help="install the paper's Figure 6 customization")
     parser.add_argument("--no-obs", action="store_true",
-                        help="disable the observability layer (stats/trace "
-                             "will have nothing to report)")
+                        help="disable the observability layer (status "
+                             "metrics and trace will have nothing to report)")
     args = parser.parse_args(argv)
 
     session = build_demo_session(args.user, args.category, args.application,

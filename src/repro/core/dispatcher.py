@@ -49,9 +49,6 @@ class Screen:
     def show(self, window: Window) -> Window:
         """Display (or replace) a window under its name."""
         self._windows[window.name] = window
-        rec = obs.RECORDER
-        if rec.enabled:
-            rec.gauge("screen.open_windows", len(self._windows))
         return window
 
     def close(self, name: str) -> Window:
@@ -59,9 +56,6 @@ class Screen:
             raise DispatchError(f"no open window named {name!r}")
         window = self._windows.pop(name)
         window.fire("close")
-        rec = obs.RECORDER
-        if rec.enabled:
-            rec.gauge("screen.open_windows", len(self._windows))
         return window
 
     def window(self, name: str) -> Window:

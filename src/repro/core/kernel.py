@@ -141,7 +141,6 @@ class GISKernel:
         with self._lock:
             self._sessions[session_id] = session
             self._sync_feed()
-        self._gauge_sessions()
         return session_id
 
     def _detach(self, session: "GISSession") -> None:
@@ -149,13 +148,6 @@ class GISKernel:
             self._sessions.pop(session.session_id, None)
             self._sync_feed()
         self.live.drop_session(session.session_id)
-        self._gauge_sessions()
-
-    def _gauge_sessions(self) -> None:
-        rec = obs.RECORDER
-        if rec.enabled:
-            rec.gauge("kernel.sessions", len(self._sessions),
-                      database=self.database.name)
 
     @property
     def session_count(self) -> int:
@@ -221,24 +213,17 @@ class GISKernel:
         if name in self._replicas:
             raise ReplicationError(f"replica {name!r} is already attached")
         self._replicas[name] = (replica, QueryResultCache(replica))
-        rec = obs.RECORDER
-        if rec.enabled:
-            rec.gauge("kernel.replicas", len(self._replicas),
-                      database=self.database.name)
         return name
 
     def detach_replica(self, name: str) -> None:
         self._replicas.pop(name, None)
-        rec = obs.RECORDER
-        if rec.enabled:
-            rec.gauge("kernel.replicas", len(self._replicas),
-                      database=self.database.name)
 
     def replicas(self) -> list[str]:
         return list(self._replicas)
 
     def replication_status(self) -> dict[str, Any]:
-        """Leader status plus per-replica LSN/lag (CLI ``repl-status``)."""
+        """Leader status plus per-replica LSN/lag (``replication`` in
+        :meth:`stats`)."""
         return {
             "leader": self.database.replication_status(),
             "replicas": [db.replication_status()
@@ -389,14 +374,30 @@ class GISKernel:
     # ------------------------------------------------------------------
 
     def stats(self) -> dict[str, Any]:
+        """The status tree: every always-on counter of the stack, once.
+
+        JSON-safe, assembled from the components' own ``stats()`` /
+        ``status()`` dicts. The CLI ``status`` command and the wire
+        ``stats`` request both report exactly this tree. ``metrics`` is
+        the obs registry export (histograms and the labelled counters no
+        component keeps), or ``None`` while observability is off.
+        """
+        db = self.database
+        columns = db._column_cache
         return {
-            "database": self.database.name,
-            "sessions": len(self._sessions),
-            "replicas": list(self._replicas),
+            "database": {"name": db.name, **db.stats(),
+                         "events_published": db.bus.published_count},
+            "wal": db.wal.stats() if db.wal is not None else None,
+            "columns": columns.status() if columns is not None else None,
+            "replication": self.replication_status(),
             "engine": self.engine.stats(),
-            "events_published": self.database.bus.published_count,
             "query_cache": self.query_cache.stats(),
-            "live": self.live.stats(),
+            "live": {"summary": self.live.stats(),
+                     "watches": self.live.watch_status()},
+            "sessions": {sid: session.stats()
+                         for sid, session in list(self._sessions.items())},
+            "metrics": (obs.RECORDER.registry.export()
+                        if obs.is_enabled() else None),
         }
 
     def shutdown(self) -> None:

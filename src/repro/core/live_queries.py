@@ -506,7 +506,6 @@ class LiveQueryManager:
 
             query = parse_query(query)
         key = self.cache.make_key(schema_name, query)
-        rec = obs.RECORDER
         with self._lock:
             state = self._states.get(key)
             if state is None:
@@ -518,9 +517,6 @@ class LiveQueryManager:
             state.watches[watch.watch_id] = watch
             self._watches[watch.watch_id] = watch
             self.registered += 1
-            if rec.enabled:
-                rec.inc("live.registered")
-                rec.gauge("live.watches", len(self._watches))
             return watch
 
     def unregister(self, watch: Watch) -> None:
@@ -534,9 +530,6 @@ class LiveQueryManager:
                 state.watches.pop(watch.watch_id, None)
                 if not state.watches:
                     del self._states[state.key]
-            rec = obs.RECORDER
-            if rec.enabled:
-                rec.gauge("live.watches", len(self._watches))
 
     def drop_session(self, session_id: str) -> None:
         """Release every watch a (closing) session still holds."""
@@ -599,8 +592,6 @@ class LiveQueryManager:
             state.versions[class_name] = ws.commit_ts
         state.deltas += 1
         self.delta_applied += 1
-        if rec.enabled:
-            rec.inc("live.delta_applied")
         if republish:
             state.publish("delta", ws.commit_ts)
         self.cache.put_maintained(state.key, state.result,
@@ -695,7 +686,7 @@ class LiveQueryManager:
             }
 
     def watch_status(self) -> list[dict[str, Any]]:
-        """One row per live watch (CLI ``watch-status``)."""
+        """One row per live watch (``live.watches`` in the status tree)."""
         with self._lock:
             return [
                 {

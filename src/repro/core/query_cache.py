@@ -48,7 +48,6 @@ import threading
 from collections import OrderedDict
 from typing import Any
 
-from .. import obs
 from ..geodb.database import GeographicDatabase
 from ..geodb.query import Query
 from ..geodb.query_engine import QueryEngine, QueryResult
@@ -119,7 +118,6 @@ class QueryResultCache:
         """
         key = self.make_key(schema_name, query)
         versions = self.observed_versions(schema_name, query)
-        rec = obs.RECORDER
         with self._lock:
             self.lookups += 1
             entry = self._entries.get(key)
@@ -127,25 +125,17 @@ class QueryResultCache:
                 if entry.versions == versions:
                     self._entries.move_to_end(key)
                     self.hits += 1
-                    if rec.enabled:
-                        rec.inc("query.cache.hit")
                     return entry.result.with_report(cache="hit")
                 # A commit moved one of the touched classes (or the
                 # closure itself changed): the entry is stale.
                 del self._entries[key]
                 self.invalidations += 1
-                if rec.enabled:
-                    rec.inc("query.cache.invalidation")
             self.misses += 1
-            if rec.enabled:
-                rec.inc("query.cache.miss")
             flight = self._inflight.get(key)
             if flight is not None and flight.versions == versions:
                 # Same key, same observed commit state: join the
                 # in-progress execution instead of duplicating it.
                 self.coalesced += 1
-                if rec.enabled:
-                    rec.inc("query.cache.coalesced")
             else:
                 # Lead a fresh flight. A stale flight (older versions)
                 # is replaced as the join target — its leader still

@@ -140,8 +140,6 @@ class CustomizationEngine:
         rec = obs.RECORDER
         if rec.enabled:
             rec.inc("customization.directives_registered")
-            rec.gauge("customization.rules_installed",
-                      len(self.manager.rules()))
         if persist and self.catalog is not None:
             self.catalog.put(KIND_CUSTOMIZATION, directive.name,
                              directive.describe())

@@ -291,14 +291,12 @@ class GISSession:
         return self.engine.explain(event_id)
 
     def stats(self) -> dict[str, Any]:
+        """Per-session fields; kernel-wide counters live once in
+        :meth:`GISKernel.stats <repro.core.kernel.GISKernel.stats>`."""
         return {
             "context": self.context.describe(),
             "session_id": self.session_id,
             "dispatcher": self.dispatcher.stats(),
-            "engine": self.engine.stats(),
-            "database": self.database.name,
-            "events_published": self.database.bus.published_count,
-            "buffer": self.database.stats_buffer(),
         }
 
     # ------------------------------------------------------------------

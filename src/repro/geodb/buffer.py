@@ -20,7 +20,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .. import obs
 from ..errors import BufferError_
 from .storage import Pager
 
@@ -45,7 +44,7 @@ class BufferStats:
     def hit_ratio(self) -> float:
         return self.hits / self.accesses if self.accesses else 0.0
 
-    def snapshot(self) -> dict:
+    def snapshot(self, resident_frames: int = 0) -> dict:
         return {
             "hits": self.hits,
             "misses": self.misses,
@@ -53,6 +52,9 @@ class BufferStats:
             "write_backs": self.write_backs,
             "hit_ratio": round(self.hit_ratio, 4),
             "write_allocs": self.extra.get("write_allocs", 0),
+            "bulk_reads": self.extra.get("bulk_reads", 0),
+            "pin_denials": self.pin_denials,
+            "resident_frames": resident_frames,
         }
 
 
@@ -90,7 +92,7 @@ class BufferManager:
         self._bulk = 0
         #: hit-path promotion hook: the bound OrderedDict move normally,
         #: a no-op inside bulk_scan scopes — swapped rather than branched
-        #: so the hot hit path stays within the disabled-obs overhead gate
+        #: so the hot hit path carries no scope test
         self._promote = self._frames.move_to_end
         #: called before a dirty frame is written back by eviction; the
         #: database points this at ``wal.force`` so staged (group-commit)
@@ -105,8 +107,6 @@ class BufferManager:
         # (``in`` + subscript beat a ``.get`` method call here).
         if page_no in self._frames:
             self.stats.hits += 1
-            if obs.RECORDER.enabled:
-                obs.RECORDER.inc("buffer.hits")
             self._promote(page_no)
             return self._frames[page_no].data
         return self._get_frame(page_no).data
@@ -123,10 +123,6 @@ class BufferManager:
             self.stats.extra["write_allocs"] = (
                 self.stats.extra.get("write_allocs", 0) + 1
             )
-            rec = obs.RECORDER
-            if rec.enabled:
-                rec.inc("buffer.write_allocs")
-                rec.gauge("buffer.resident_frames", len(self._frames))
         else:
             self._frames.move_to_end(page_no)
         frame.data = data.ljust(self.pager.page_size, b"\x00")
@@ -200,16 +196,11 @@ class BufferManager:
     # -- internals -------------------------------------------------------------
 
     def _get_frame(self, page_no: int) -> _Frame:
-        rec = obs.RECORDER
         if page_no in self._frames:
             self.stats.hits += 1
-            if rec.enabled:
-                rec.inc("buffer.hits")
             self._promote(page_no)
             return self._frames[page_no]
         self.stats.misses += 1
-        if rec.enabled:
-            rec.inc("buffer.misses")
         self._make_room()
         frame = _Frame(self.pager.read_page(page_no))
         self._frames[page_no] = frame
@@ -220,10 +211,6 @@ class BufferManager:
             self.stats.extra["bulk_reads"] = (
                 self.stats.extra.get("bulk_reads", 0) + 1
             )
-            if rec.enabled:
-                rec.inc("buffer.bulk_reads")
-        if rec.enabled:
-            rec.gauge("buffer.resident_frames", len(self._frames))
         return frame
 
     def _make_room(self) -> None:
@@ -242,8 +229,6 @@ class BufferManager:
                     )
                     return
                 self.stats.pin_denials += 1
-                if obs.RECORDER.enabled:
-                    obs.RECORDER.inc("buffer.pin_denials")
                 raise BufferError_(
                     f"all {self.capacity} buffer frames are pinned; cannot evict"
                 )
@@ -252,9 +237,6 @@ class BufferManager:
     def _evict(self, page_no: int) -> None:
         frame = self._frames.pop(page_no)
         self.stats.evictions += 1
-        rec = obs.RECORDER
-        if rec.enabled:
-            rec.inc("buffer.evictions")
         if frame.dirty:
             # The WAL rule: a dirty page may cover a commit whose staged
             # log batch has not been fsynced yet (group commit); the
@@ -264,8 +246,6 @@ class BufferManager:
                 self.pre_steal_hook()
             self.pager.write_page(page_no, frame.data)
             self.stats.write_backs += 1
-            if rec.enabled:
-                rec.inc("buffer.write_backs")
 
     # -- maintenance -------------------------------------------------------------
 
@@ -278,8 +258,6 @@ class BufferManager:
                 frame.dirty = False
                 flushed += 1
                 self.stats.write_backs += 1
-        if flushed and obs.RECORDER.enabled:
-            obs.RECORDER.inc("buffer.write_backs", flushed)
         return flushed
 
     def clear(self) -> None:

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 from typing import Any
 
-from .. import obs
 from ..spatial.geometry import Geometry
 from .query import compile_path
 from .schema import GeoClass
@@ -156,8 +155,8 @@ class ColumnCache:
     def __init__(self, database):
         self._db = database
         self._cache: dict[tuple[str, str], ClassColumns] = {}
-        # Counters feed the CLI ``column-status`` hit ratios; the obs
-        # counters mirror them when a recorder is enabled.
+        # Counters feed the hit ratios in status() (the kernel status
+        # tree's ``database.columns``).
         self.builds = 0
         self.hits = 0
         self.invalidations = 0
@@ -181,9 +180,6 @@ class ColumnCache:
                                                        class_name) \
                 and cached.cardinality == len(extent):
             self.hits += 1
-            rec = obs.RECORDER
-            if rec.enabled:
-                rec.inc("query.columns.hit")
             return cached
         # (Re)build against a stable extent snapshot: the version and
         # the object list must come from the same commit state, so the
@@ -205,11 +201,6 @@ class ColumnCache:
         fresh = ClassColumns(schema_name, class_name, version, objects)
         self._cache[key] = fresh
         self.builds += 1
-        rec = obs.RECORDER
-        if rec.enabled:
-            rec.inc("query.columns.build")
-            if cached is not None:
-                rec.inc("query.columns.invalidation")
         if cached is not None:
             self.invalidations += 1
         return fresh
@@ -219,8 +210,9 @@ class ColumnCache:
         self._cache.clear()
 
     def status(self) -> dict[str, Any]:
-        """A JSON-safe export for the CLI ``column-status`` command."""
-        classes = [entry.describe() for entry in self._cache.values()]
+        """A JSON-safe export (``database.columns`` in the status tree)."""
+        # list(): a concurrent query may build a class's columns meanwhile
+        classes = [entry.describe() for entry in list(self._cache.values())]
         lookups = self.hits + self.builds
         return {
             "summary": {

@@ -709,11 +709,8 @@ class GeographicDatabase:
             self._commit_log = [
                 entry for entry in self._commit_log if entry[0] > watermark
             ]
-        rec = obs.RECORDER
-        if rec.enabled:
-            if reclaimed:
-                rec.inc("mvcc.gc_reclaimed", reclaimed)
-            rec.gauge("mvcc.versions", self._mvcc.total_versions)
+        if reclaimed and obs.RECORDER.enabled:
+            obs.RECORDER.inc("mvcc.gc_reclaimed", reclaimed)
         return reclaimed
 
     # -- durability (write-ahead log) --------------------------------------
@@ -783,8 +780,6 @@ class GeographicDatabase:
                 self._replay_batch(records, commit_ts)
                 replayed += 1
         self.wal.recovered_txns += replayed
-        if replayed and obs.RECORDER.enabled:
-            obs.RECORDER.inc("wal.recoveries", replayed)
         if self.wal.pager.page_count:
             # Always fold the replayed state into the heap and truncate:
             # a stale (possibly torn) tail left in place would sit in
@@ -968,33 +963,8 @@ class GeographicDatabase:
             self.raster_store.replay_tile(tile_doc)
         spatial_batches: dict[tuple[str, str, str], list] = {}
         for record in doc.get("objects", []):
-            schema = self.get_schema_object(record["schema"])
-            attrs = {
-                a.name: a
-                for a in schema.effective_attributes(record["class"])
-            }
-            values = {
-                name: attrs[name].type.decode(value)
-                for name, value in record["values"].items()
-            }
-            obj = GeoObject.create(schema, record["class"], values,
-                                   oid=record["oid"])
-            self.extent(record["schema"], record["class"]).add(obj)
-            self._locations[obj.oid] = (record["schema"], record["class"])
-            self._rids[obj.oid] = self.heap.insert(self._record_for(obj))
-            for attr in self._spatial_attrs(obj):
-                geom = obj.geometry(attr)
-                if geom is not None:
-                    key = (record["schema"], record["class"], attr)
-                    spatial_batches.setdefault(key, []).append(
-                        (geom.bbox(), obj.oid)
-                    )
-            for (s, c, attr), index in self._attr_indexes.items():
-                if (s, c) == (record["schema"], record["class"]):
-                    index.insert(obj.get(attr), obj.oid)
-            self._refs_add(obj)
-        for key, entries in spatial_batches.items():
-            self._spatial[key] = RTree.bulk_load(entries, max_entries=16)
+            self._adopt(record, None, spatial_batches)
+        self._bulk_load_spatial(spatial_batches)
         for schema_name, class_name, version in doc.get("class_versions", []):
             self._class_versions[(schema_name, class_name)] = version
         # A resync can install versions identical to what a stale column
@@ -1193,6 +1163,8 @@ class GeographicDatabase:
     def _decode_record_values(self, schema_name: str, class_name: str,
                               values: dict[str, Any] | None
                               ) -> dict[str, Any] | None:
+        """Decode stored attribute values: heap records, logged intents,
+        shipped batches and snapshot objects all use this one decoder."""
         if values is None:
             return None
         schema = self.get_schema_object(schema_name)
@@ -1426,8 +1398,6 @@ class GeographicDatabase:
                         (intent.schema_name, intent.class_name)
                     ] = commit_ts
                 self._record_versions(write_set, commit_ts, intents)
-                if rec.enabled:
-                    rec.gauge("mvcc.versions", self._mvcc.total_versions)
         finally:
             self._mutation_seq += 1
         return commit_ts, ticket, write_set_delta
@@ -1731,51 +1701,64 @@ class GeographicDatabase:
             oid = record["oid"]
             if oid in self._locations:
                 continue  # already live (idempotent reload)
-            schema = self.get_schema_object(record["schema"])
-            attrs = {
-                a.name: a
-                for a in schema.effective_attributes(record["class"])
-            }
-            values = {
-                name: attrs[name].type.decode(value)
-                for name, value in record["values"].items()
-            }
-            obj = GeoObject.create(schema, record["class"], values, oid=oid)
-            self.extent(record["schema"], record["class"]).add(obj)
-            self._locations[oid] = (record["schema"], record["class"])
-            self._rids[oid] = rid
-            # spatial entries are batched and STR-bulk-loaded below, which
-            # packs better and builds faster than one-by-one insertion
-            for attr in self._spatial_attrs(obj):
-                geom = obj.geometry(attr)
-                if geom is not None:
-                    key = (record["schema"], record["class"], attr)
-                    spatial_batches.setdefault(key, []).append(
-                        (geom.bbox(), oid)
-                    )
-            for (s, c, attr), index in self._attr_indexes.items():
-                if (s, c) == (record["schema"], record["class"]):
-                    index.insert(obj.get(attr), oid)
-            self._refs_add(obj)
+            self._adopt(record, rid, spatial_batches)
             loaded += 1
             __, __, suffix = oid.rpartition("#")
             if suffix.isdigit():
                 max_suffix = max(max_suffix, int(suffix))
-        for key, entries in spatial_batches.items():
+        self._bulk_load_spatial(spatial_batches)
+        if max_suffix:
+            ensure_oid_counter_above(max_suffix)
+        return loaded
+
+    def _adopt(self, record: dict[str, Any], rid: RecordId | None,
+               spatial_batches: dict[tuple[str, str, str], list]) -> None:
+        """Make one stored or shipped record a live object.
+
+        Registers it in its extent, locations, attribute indexes and
+        references. ``rid`` is the record's heap address, or ``None`` to
+        write the record to the heap now. Geometries are batched into
+        ``spatial_batches`` for :meth:`_bulk_load_spatial`, which packs
+        better and builds faster than one-by-one R-tree insertion.
+        """
+        schema_name, class_name = record["schema"], record["class"]
+        obj = GeoObject.create(
+            self.get_schema_object(schema_name), class_name,
+            self._decode_record_values(schema_name, class_name,
+                                       record["values"]),
+            oid=record["oid"])
+        oid = obj.oid
+        self.extent(schema_name, class_name).add(obj)
+        self._locations[oid] = (schema_name, class_name)
+        self._rids[oid] = (rid if rid is not None
+                           else self.heap.insert(self._record_for(obj)))
+        for attr in self._spatial_attrs(obj):
+            geom = obj.geometry(attr)
+            if geom is not None:
+                spatial_batches.setdefault(
+                    (schema_name, class_name, attr), []).append(
+                        (geom.bbox(), oid))
+        for (s, c, attr), index in self._attr_indexes.items():
+            if (s, c) == (schema_name, class_name):
+                index.insert(obj.get(attr), oid)
+        self._refs_add(obj)
+
+    def _bulk_load_spatial(
+            self, batches: dict[tuple[str, str, str], list]) -> None:
+        """STR-load each batch together with its index's entries."""
+        for key, entries in batches.items():
             existing = list(self._spatial[key].items()) \
                 if key in self._spatial else []
             self._spatial[key] = RTree.bulk_load(existing + entries,
                                                  max_entries=16)
-        if max_suffix:
-            ensure_oid_counter_above(max_suffix)
-        return loaded
 
     def stats(self) -> dict[str, Any]:
         return {
             "schemas": len(self._schemas),
             "objects": len(self._locations),
             "extents": {
-                f"{s}.{c}": len(ext) for (s, c), ext in self._extents.items()
+                f"{s}.{c}": len(ext)
+                for (s, c), ext in list(self._extents.items())
             },
             "spatial_indexes": len(self._spatial),
             "buffer": self.stats_buffer(),
@@ -1786,7 +1769,7 @@ class GeographicDatabase:
         }
 
     def stats_buffer(self) -> dict[str, Any]:
-        return self.buffer.stats.snapshot()
+        return self.buffer.stats.snapshot(len(self.buffer))
 
     def verify_storage(self) -> int:
         """Re-read every object from the heap and compare with memory.
@@ -1797,16 +1780,9 @@ class GeographicDatabase:
         verified = 0
         for oid, rid in self._rids.items():
             record = self.heap.read(rid)
-            obj = self.get_object(oid)
-            schema = self.get_schema_object(record["schema"])
-            attrs = {
-                a.name: a for a in schema.effective_attributes(record["class"])
-            }
-            decoded = {
-                name: attrs[name].type.decode(value)
-                for name, value in record["values"].items()
-            }
-            if decoded != obj.values():
+            decoded = self._decode_record_values(
+                record["schema"], record["class"], record["values"])
+            if decoded != self.get_object(oid).values():
                 raise ObjectNotFoundError(
                     f"stored record for {oid} diverges from the live object"
                 )

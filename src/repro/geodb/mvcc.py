@@ -225,8 +225,9 @@ class VersionStore:
         return {
             "chains": len(self._chains),
             "versions": self._version_count,
+            # list(): commits add chains while a status read iterates
             "tombstones": sum(
-                1 for chain in self._chains.values()
+                1 for chain in list(self._chains.values())
                 for v in chain if v.is_tombstone
             ),
         }

@@ -300,16 +300,6 @@ class QueryPlanner:
             equality = None
         return prefilter, equality
 
-    def plan(self, schema_name: str, query) -> list[ClassPlan]:
-        """One :class:`ClassPlan` per class of the query's closure."""
-        prefilter, equality = self.prefilters(query)
-        plans = []
-        for class_name in self.class_closure(schema_name, query):
-            plans.append(
-                self.plan_class(schema_name, class_name, prefilter, equality)
-            )
-        return plans
-
     def plan_class(
         self,
         schema_name: str,

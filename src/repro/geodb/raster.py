@@ -405,7 +405,7 @@ class RasterStore:
         self._dir_rid = None
         #: True when the in-memory directory diverges from the persisted one
         self._dirty = False
-        # plain counters (obs mirrors them when enabled)
+        # counters reported by status() (the kernel status tree)
         self.tile_reads = 0
         self.tile_writes = 0
         self.window_reads = 0
@@ -500,9 +500,6 @@ class RasterStore:
             undo.append(restore)
         self.tile_writes += 1
         self._dirty = True
-        rec = obs.RECORDER
-        if rec.enabled:
-            rec.inc("raster.tile_writes")
 
     def release(self, ref: "RasterRef | str") -> int:
         """Free a raster's tile pages; returns how many pages went back.
@@ -635,9 +632,6 @@ class RasterStore:
                 f"{doc['rid']}/{doc['lv']}/{doc['ix']}"
             )
         self.tile_reads += 1
-        rec = obs.RECORDER
-        if rec.enabled:
-            rec.inc("raster.tile_reads")
         return doc["data"]
 
     def read_region(self, ref: RasterRef, level: int, x0: int, y0: int,
@@ -698,10 +692,9 @@ class RasterStore:
                 "for pixel-space access"
             )
         level = ref.level_for(scale)
-        rec = obs.RECORDER
         self.window_reads += 1
+        rec = obs.RECORDER
         if rec.enabled:
-            rec.inc("raster.window_reads")
             rec.inc("raster.pyramid_level", level=level)
         lw, lh = ref.level_dims(level)
         ix0 = max(window.min_x, extent.min_x)
@@ -726,14 +719,15 @@ class RasterStore:
 
     def status(self) -> dict[str, Any]:
         """Directory and counter summary for the CLI and benchmarks."""
-        tile_pages = sum(len(pages) for pages in self._tiles.values())
+        tiles = list(self._tiles.items())   # commits may add tiles meanwhile
+        tile_pages = sum(len(pages) for __, pages in tiles)
         levels: dict[str, int] = {}
-        for key in self._tiles:
+        for key, __ in tiles:
             level = key.split("/")[1]
             levels[level] = levels.get(level, 0) + 1
         return {
             "rasters": len(self._rasters),
-            "tiles": len(self._tiles),
+            "tiles": len(tiles),
             "tile_pages": tile_pages,
             "free_pages": len(self._free),
             "tile_size": self.tile,

@@ -53,6 +53,10 @@ class Pager:
     """Abstract fixed-size page array."""
 
     page_size = PAGE_SIZE
+    #: page I/O counts (``heap``/``wal`` ``page_reads``/``page_writes``
+    #: in the status tree); concrete pagers count them per call
+    reads = 0
+    writes = 0
 
     def read_page(self, page_no: int) -> bytes:
         raise NotImplementedError
@@ -88,16 +92,12 @@ class MemoryPager(Pager):
         if not 0 <= page_no < len(self._pages):
             raise StorageError(f"page {page_no} does not exist")
         self.reads += 1
-        if obs.RECORDER.enabled:
-            obs.RECORDER.inc("storage.page_reads", backend="memory")
         return self._pages[page_no]
 
     def write_page(self, page_no: int, data: bytes) -> None:
         if not 0 <= page_no < len(self._pages):
             raise StorageError(f"page {page_no} does not exist")
         self.writes += 1
-        if obs.RECORDER.enabled:
-            obs.RECORDER.inc("storage.page_writes", backend="memory")
         self._pages[page_no] = self._check_data(data)
 
     def allocate_page(self) -> int:
@@ -135,8 +135,6 @@ class FilePager(Pager):
         if not 0 <= page_no < self._count:
             raise StorageError(f"page {page_no} does not exist")
         self.reads += 1
-        if obs.RECORDER.enabled:
-            obs.RECORDER.inc("storage.page_reads", backend="file")
         self._file.seek(page_no * self.page_size)
         return self._file.read(self.page_size)
 
@@ -144,8 +142,6 @@ class FilePager(Pager):
         if not 0 <= page_no < self._count:
             raise StorageError(f"page {page_no} does not exist")
         self.writes += 1
-        if obs.RECORDER.enabled:
-            obs.RECORDER.inc("storage.page_writes", backend="file")
         self._file.seek(page_no * self.page_size)
         self._file.write(self._check_data(data))
 
@@ -444,4 +440,6 @@ class HeapFile:
             "pages": self.pager.page_count,
             "free_map_entries": len(self._free),
             "page_size": self.pager.page_size,
+            "page_reads": self.pager.reads,
+            "page_writes": self.pager.writes,
         }

@@ -516,7 +516,6 @@ class WriteAheadLog:
         if self.shipper is not None:
             self.shipper.on_durable(target)
         if rec.enabled:
-            rec.inc("wal.group_commits")
             rec.observe("wal.group_size", max(covered, 1))
 
     def force(self) -> None:
@@ -573,8 +572,6 @@ class WriteAheadLog:
         # A memory-backed log is trivially "synced"; the barrier still
         # counts so tests over MemoryPager observe the same protocol.
         self.fsyncs += 1
-        if obs.RECORDER.enabled:
-            obs.RECORDER.inc("wal.fsyncs")
 
     # -- recovery --------------------------------------------------------------
 
@@ -655,6 +652,8 @@ class WriteAheadLog:
         return {
             "pages": self.pager.page_count,
             "page_size": self.pager.page_size,
+            "page_reads": self.pager.reads,
+            "page_writes": self.pager.writes,
             "sync_mode": self.sync_mode,
             "appends": self.appends,
             "flushes": self.flushes,

@@ -31,7 +31,7 @@ The kinds (see ``docs/SERVING.md`` for the full field tables):
 ``unsubscribe``  opt out again
 ``watch``        register a live query; result changes are pushed
 ``unwatch``      release a live query registration
-``stats``        kernel + server statistics
+``stats``        the kernel status tree (``GISKernel.stats``)
 ``ping``         liveness probe
 ``repl_snapshot`` one chunk of a replication bootstrap snapshot
 ``repl_poll``    shipped WAL batches after a cursor LSN

@@ -356,7 +356,7 @@ class Router:
         return make_response(doc["id"], released=was_active)
 
     def _handle_stats(self, state: ClientState, doc: dict) -> dict:
-        return make_response(doc["id"], kernel=_jsonable(self.kernel.stats()))
+        return make_response(doc["id"], kernel=self.kernel.stats())
 
     def _handle_ping(self, state: ClientState, doc: dict) -> dict:
         return make_response(doc["id"], pong=True)

@@ -28,13 +28,13 @@ Concurrency model:
 Backpressure: responses use a blocking ``queue.put`` (the connection's
 own reader waits — that is the backpressure). Pushes use ``put_nowait``;
 a full queue means a slow reader, and the push is **dropped** (counted
-in ``net.push.dropped``) or the connection is dropped, per
+in ``stats()["pushes_dropped"]``) or the connection is dropped, per
 ``overflow`` policy — it is never allowed to wedge the loop.
 
 A dropped connection — clean close, mid-frame cut, or protocol
 violation — always runs the same teardown: its sessions are shut down
-(idempotently; the kernel's ``kernel.sessions`` gauge decrements exactly
-once per session) and its interest registrations die with them, so the
+(idempotently; each leaves the kernel status tree's ``sessions``
+exactly once) and its interest registrations die with them, so the
 mutation fan-out stops addressing it.
 """
 
@@ -103,7 +103,7 @@ class GISServer:
         #: tail of an in-flight disconnect instead of destroying it
         self._serve_tasks: set[asyncio.Task] = set()
         self._subscribed = False
-        #: counters mirrored into obs metrics, kept here for stats()
+        #: connection and push counters, reported by stats()
         self.counters = {
             "connections_total": 0,
             "protocol_errors": 0,
@@ -181,7 +181,6 @@ class GISServer:
         conn = _Connection(state, reader, writer, self.queue_size)
         self._connections.add(conn)
         self.counters["connections_total"] += 1
-        self._gauge_connections()
         conn.reader_task = asyncio.current_task()
         assert conn.reader_task is not None
         self._serve_tasks.add(conn.reader_task)
@@ -202,9 +201,6 @@ class GISServer:
                 # The stream is unreadable past this point: tell the
                 # client why (best effort) and hang up.
                 self.counters["protocol_errors"] += 1
-                rec = obs.RECORDER
-                if rec.enabled:
-                    rec.inc("net.protocol_errors")
                 await self._try_send(conn, make_error(
                     None, str(exc), type(exc).__name__
                 ))
@@ -295,12 +291,6 @@ class GISServer:
                 await loop.run_in_executor(None, conn.state.close_sessions)
             else:                                   # pragma: no cover
                 conn.state.close_sessions()
-        self._gauge_connections()
-
-    def _gauge_connections(self) -> None:
-        rec = obs.RECORDER
-        if rec.enabled:
-            rec.gauge("net.connections", len(self._connections))
 
     # ------------------------------------------------------------------
     # Push fan-out
@@ -340,8 +330,6 @@ class GISServer:
                 conn.outbound.put_nowait(frame)
             except asyncio.QueueFull:
                 self.counters["pushes_dropped"] += 1
-                if rec.enabled:
-                    rec.inc("net.push.dropped")
                 if self.overflow == "disconnect":
                     self.counters["overflow_disconnects"] += 1
                     asyncio.ensure_future(self._close_connection(conn))

@@ -20,9 +20,9 @@ sites never hold module-level instrument globals. Labels are plain
 keyword arguments with string-convertible values.
 
 The registry snapshots to a JSON-safe dict (:meth:`MetricsRegistry.export`)
-that round-trips through :meth:`MetricsRegistry.from_export`, and renders
-a human-readable table (:meth:`MetricsRegistry.render_table`) for the CLI
-``stats`` command and the benchmark reports.
+that round-trips through :meth:`MetricsRegistry.from_export` (the
+``metrics`` entry of the kernel status tree), and renders a human-readable
+table (:meth:`MetricsRegistry.render_table`) for the benchmark reports.
 """
 
 from __future__ import annotations

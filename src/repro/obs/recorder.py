@@ -7,7 +7,7 @@ the module-level recorder in :mod:`repro.obs`::
     ...
     rec = obs.RECORDER
     if rec.enabled:
-        rec.inc("buffer.hits")
+        rec.inc("net.requests", kind=kind)
 
 Two implementations share the interface:
 

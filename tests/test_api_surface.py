@@ -161,7 +161,8 @@ class TestDatabaseStatsBuffer:
         db = GeographicDatabase("S")
         snap = db.stats_buffer()
         assert set(snap) == {"hits", "misses", "evictions", "write_backs",
-                             "hit_ratio", "write_allocs"}
+                             "hit_ratio", "write_allocs", "bulk_reads",
+                             "pin_denials", "resident_frames"}
 
 
 class TestPresentationRegistryQueries:

@@ -130,9 +130,11 @@ class TestStats:
     def test_snapshot_fields(self):
         __, manager = make()
         manager.read_page(0)
-        snap = manager.stats.snapshot()
+        snap = manager.stats.snapshot(len(manager))
         assert set(snap) == {"hits", "misses", "evictions", "write_backs",
-                             "hit_ratio", "write_allocs"}
+                             "hit_ratio", "write_allocs", "bulk_reads",
+                             "pin_denials", "resident_frames"}
+        assert snap["resident_frames"] == 1
 
     def test_zero_access_ratio(self):
         __, manager = make()
@@ -153,13 +155,15 @@ class TestStats:
         assert manager.stats.extra["write_allocs"] == 1
         assert manager.stats.hits == 0
 
-    def test_write_allocs_reported_to_registry(self, obs_recorder):
+    def test_write_allocs_reported_to_registry(self):
+        """The snapshot (the status tree's ``database.buffer``) reports
+        write allocations apart from misses."""
         __, manager = make()
         manager.write_page(0, b"x")
         manager.write_page(1, b"y")
-        registry = obs_recorder.registry
-        assert registry.counter_value("buffer.write_allocs") == 2
-        assert registry.counter_value("buffer.misses") == 0
+        snap = manager.stats.snapshot()
+        assert snap["write_allocs"] == 2
+        assert snap["misses"] == 0
 
 
 class TestNoSteal:
@@ -253,12 +257,12 @@ class TestBulkScan:
         manager.read_page(4)                 # LRU eviction takes 1, not 0
         assert 0 in manager.resident_pages()
 
-    def test_bulk_reads_reported_to_registry(self, obs_recorder):
+    def test_bulk_reads_reported_to_registry(self):
         __, manager = make(capacity=2, pages=6)
         with manager.bulk_scan():
             for no in range(6):
                 manager.read_page(no)
-        assert obs_recorder.registry.counter_value("buffer.bulk_reads") == 6
+        assert manager.stats.snapshot()["bulk_reads"] == 6
 
     def test_raster_level_sweep_keeps_vector_pages_hot(self):
         """End-to-end regression: ``RasterStore.read_level`` sweeps its
@@ -310,9 +314,10 @@ class TestBulkScan:
 
 
 class TestObservabilityCounters:
-    """The buffer reports its cache behavior through the obs registry."""
+    """The buffer reports its cache behavior through its stats snapshot
+    (``database.buffer`` in the kernel status tree)."""
 
-    def test_scripted_pattern_matches_counters(self, obs_recorder):
+    def test_scripted_pattern_matches_counters(self):
         __, manager = make(capacity=3)
         # Scripted access pattern (capacity 3, LRU):
         #   0 1 2        -> three cold misses
@@ -322,32 +327,27 @@ class TestObservabilityCounters:
         #   2            -> miss, evicts 0
         for page_no in (0, 1, 2, 0, 1, 3, 3, 2):
             manager.read_page(page_no)
-        registry = obs_recorder.registry
-        assert registry.counter_value("buffer.hits") == 3
-        assert registry.counter_value("buffer.misses") == 5
-        assert registry.counter_value("buffer.evictions") == 2
-        # The registry agrees exactly with the in-object BufferStats.
-        assert registry.counter_value("buffer.hits") == manager.stats.hits
-        assert registry.counter_value("buffer.misses") == manager.stats.misses
-        assert (registry.counter_value("buffer.evictions")
-                == manager.stats.evictions)
-        assert registry.gauge_value("buffer.resident_frames") == 3
+        snap = manager.stats.snapshot(len(manager))
+        assert snap["hits"] == 3
+        assert snap["misses"] == 5
+        assert snap["evictions"] == 2
+        assert snap["resident_frames"] == 3
 
-    def test_write_back_counted(self, obs_recorder):
+    def test_write_back_counted(self):
         __, manager = make(capacity=2)
         manager.write_page(0, b"dirty!")
         manager.read_page(1)
         manager.read_page(2)          # evicts dirty page 0 -> write-back
-        registry = obs_recorder.registry
-        assert registry.counter_value("buffer.write_backs") == 1
-        assert registry.counter_value("buffer.evictions") == 1
+        snap = manager.stats.snapshot()
+        assert snap["write_backs"] == 1
+        assert snap["evictions"] == 1
 
-    def test_flush_counts_write_backs(self, obs_recorder):
+    def test_flush_counts_write_backs(self):
         __, manager = make(capacity=4)
         manager.write_page(0, b"a")
         manager.write_page(1, b"b")
         assert manager.flush() == 2
-        assert obs_recorder.registry.counter_value("buffer.write_backs") == 2
+        assert manager.stats.snapshot()["write_backs"] == 2
 
     def test_disabled_mode_keeps_plain_stats_only(self):
         __, manager = make(capacity=2)

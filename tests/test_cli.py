@@ -52,7 +52,7 @@ class TestCommands:
 
     def test_explain_and_stats(self, loop_io):
         loop, output = loop_io
-        loop.run(["connect phone_net", "explain schema_phone_net", "stats"])
+        loop.run(["connect phone_net", "explain schema_phone_net", "status"])
         text = text_of(output)
         assert "generic (default)" in text
         assert "interactions" in text
@@ -68,12 +68,12 @@ class TestCommands:
         loop, output = loop_io
         loop.run(["help"])
         assert "connect <schema>" in text_of(output)
-        assert "wal-status" in text_of(output)
+        assert "status [path] [json]" in text_of(output)
 
     def test_wal_status_without_log(self, loop_io):
         loop, output = loop_io
-        loop.run(["wal-status"])
-        assert "no write-ahead log attached" in text_of(output)
+        loop.run(["status wal"])
+        assert text_of(output) == "  wal: None\n"
 
     def test_wal_status_with_log(self, loop_io):
         import json
@@ -85,12 +85,12 @@ class TestCommands:
             WriteAheadLog(MemoryPager(), sync_mode="none"))
         loop.session.database.insert(
             "phone_net", "Supplier", {"name": "LogProbe"})
-        loop.run(["wal-status"])
+        loop.run(["status wal"])
         text = text_of(output)
-        assert "sync_mode: none" in text
-        assert "appends:" in text
+        assert "  wal.sync_mode: none\n" in text
+        assert "  wal.appends: " in text
         output.clear()
-        loop.run(["wal-status json"])
+        loop.run(["status wal json"])
         status = json.loads(text_of(output))
         assert status["flushes"] == 1
         assert status["damaged"] is False
@@ -180,14 +180,14 @@ class TestHtmlExport:
 class TestObservabilityCommands:
     def test_stats_prints_live_counters(self, obs_recorder, loop_io):
         loop, output = loop_io
-        loop.run(["connect phone_net", "class Pole", "stats"])
+        loop.run(["connect phone_net", "class Pole", "status"])
         text = text_of(output)
-        assert "-- metrics --" in text
+        assert "metrics.counters." in text
         assert "event_bus.events_published" in text
         assert "builder.windows_built" in text
         assert "rules.evaluated" in text
         assert "dispatcher.interactions" in text
-        assert "hit_ratio" in text  # buffer section of session stats
+        assert "  database.buffer.hit_ratio: " in text
 
     def test_stats_json_exports_registry(self, obs_recorder, loop_io):
         import json as _json
@@ -195,14 +195,16 @@ class TestObservabilityCommands:
         loop, output = loop_io
         loop.run(["connect phone_net"])
         output.clear()
-        loop.run(["stats json"])
+        loop.run(["status metrics json"])
         payload = _json.loads(text_of(output))
         assert set(payload) >= {"counters", "gauges", "histograms"}
 
     def test_stats_reports_disabled_mode(self, loop_io):
         loop, output = loop_io
-        loop.run(["connect phone_net", "stats"])
-        assert "observability disabled" in text_of(output)
+        loop.run(["connect phone_net"])
+        output.clear()
+        loop.run(["status metrics"])
+        assert text_of(output) == "  metrics: None\n"
 
     def test_trace_prints_dispatch_span_tree(self, obs_recorder, loop_io):
         loop, output = loop_io
@@ -239,8 +241,8 @@ class TestObservabilityCommands:
 class TestRasterStatusCommand:
     def test_without_rasters(self, loop_io):
         loop, output = loop_io
-        loop.run(["raster-status"])
-        assert "no rasters stored" in text_of(output)
+        loop.run(["status database.rasters"])
+        assert text_of(output) == "  database.rasters: {}\n"
 
     def test_with_rasters_and_json(self):
         import json
@@ -251,13 +253,13 @@ class TestRasterStatusCommand:
         session = GISSession(db, user="demo", application="atlas")
         output: list[str] = []
         loop = CommandLoop(session, write=output.append)
-        loop.run(["raster-status"])
+        loop.run(["status database.rasters"])
         text = text_of(output)
-        assert "rasters: 6" in text
-        assert "tile size: 64px" in text
-        assert "level 0:" in text
+        assert "  database.rasters.rasters: 6\n" in text
+        assert "  database.rasters.tile_size: 64\n" in text
+        assert "  database.rasters.tiles_per_level.0: " in text
         output.clear()
-        loop.run(["raster-status json"])
+        loop.run(["status database.rasters json"])
         status = json.loads(text_of(output))
         assert status["rasters"] == 6
         assert status["tiles"] == status["tile_writes"] > 0
@@ -266,8 +268,8 @@ class TestRasterStatusCommand:
 class TestColumnStatusCommand:
     def test_without_caches(self, loop_io):
         loop, output = loop_io
-        loop.run(["column-status"])
-        assert "no column caches built" in text_of(output)
+        loop.run(["status columns"])
+        assert text_of(output) == "  columns: None\n"
 
     def test_after_queries_and_json(self, loop_io):
         import json
@@ -276,14 +278,14 @@ class TestColumnStatusCommand:
         loop.run(["connect phone_net",
                   "query select * from Pole where pole_type = 1",
                   "query select * from Pole where install_year > 1950",
-                  "column-status"])
+                  "status columns"])
         text = text_of(output)
-        assert "classes: 1" in text
-        assert "builds: 1" in text
-        assert "hits: 1" in text
-        assert "phone_net.Pole v" in text
+        assert "  columns.summary.classes: 1\n" in text
+        assert "  columns.summary.builds: 1\n" in text
+        assert "  columns.summary.hits: 1\n" in text
+        assert "  columns.classes.0.class: Pole\n" in text
         output.clear()
-        loop.run(["column-status json"])
+        loop.run(["status columns json"])
         status = json.loads(text_of(output))
         assert status["summary"]["classes"] == 1
         assert status["summary"]["hit_ratio"] == 0.5
@@ -300,14 +302,6 @@ class TestHelpStaysInSyncWithDispatch:
         assert CommandLoop.command_names() == \
             CommandLoop.documented_command_names()
 
-    def test_dash_commands_dispatch(self, loop_io):
-        loop, output = loop_io
-        # the two dash commands resolve through the underscore rewrite
-        loop.run(["wal-status", "raster-status"])
-        text = text_of(output)
-        assert "no write-ahead log attached" in text
-        assert "no rasters stored" in text
-
     def test_help_lists_every_command(self, loop_io):
         loop, output = loop_io
         loop.run(["help"])
@@ -320,9 +314,56 @@ class TestHelpStaysInSyncWithDispatch:
 
         from repro.cli import main  # noqa: F401  (import builds the parser)
 
-        assert "raster-status" in CommandLoop.help_text()
+        assert "status [path] [json]" in CommandLoop.help_text()
         # the epilog main() installs is exactly the help listing
         parser = argparse.ArgumentParser(
             epilog="commands:\n" + CommandLoop.help_text(),
             formatter_class=argparse.RawDescriptionHelpFormatter)
-        assert "raster-status" in parser.format_help()
+        assert "status [path] [json]" in parser.format_help()
+
+
+class TestStatusCommand:
+    """One ``status`` command reads the kernel status tree."""
+
+    OLD_COMMANDS = ("stats", "wal-status", "repl-status", "watch-status",
+                    "raster-status", "column-status")
+
+    def test_replaces_the_six_status_printers(self):
+        names = CommandLoop.command_names()
+        assert "status" in names
+        assert not set(self.OLD_COMMANDS) & set(names)
+
+    def test_live_watches(self, loop_io):
+        loop, output = loop_io
+        watch = loop.session.watch("phone_net",
+                                   "select * from Pole where pole_type = 1")
+        loop.run(["status live.watches"])
+        text = text_of(output)
+        assert f"  live.watches.0.watch: {watch.watch_id}\n" in text
+        assert f"  live.watches.0.session: {loop.session.session_id}\n" \
+            in text
+        output.clear()
+        loop.run(["status live.summary.watches"])
+        assert text_of(output) == "  live.summary.watches: 1\n"
+
+    def test_unknown_path_lists_top_level_keys(self, loop_io):
+        loop, output = loop_io
+        loop.run(["status wal.nowhere", "status live.watches.3"])
+        lines = text_of(output).splitlines()
+        assert len(lines) == 2
+        for line, path in zip(lines, ("wal.nowhere", "live.watches.3")):
+            assert line.startswith(f"unknown status path {path!r}")
+            assert "database, wal, columns, replication, engine" in line
+            assert line.endswith("sessions, metrics")
+
+    def test_json_prints_the_kernel_tree(self, loop_io):
+        import json
+
+        loop, output = loop_io
+        loop.run(["connect phone_net", "class Pole"])
+        output.clear()
+        loop.run(["status json"])
+        tree = json.loads(text_of(output))
+        assert tree == json.loads(json.dumps(loop.session.kernel.stats()))
+        assert tree["sessions"][loop.session.session_id][
+            "dispatcher"]["interactions"] == 2

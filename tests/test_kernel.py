@@ -91,7 +91,7 @@ class TestKernelLifecycle:
     def test_kernel_stats(self, kernel):
         kernel.session(user="ana")
         stats = kernel.stats()
-        assert stats["sessions"] == 1
+        assert len(stats["sessions"]) == 1
         assert "engine" in stats and "rules" in stats["engine"]
 
 
@@ -192,21 +192,59 @@ class TestMutationFanOut:
 
 
 class TestKernelObservability:
-    def test_sessions_gauge_tracks_attach_and_detach(self, phone_db,
-                                                     obs_recorder):
+    def test_sessions_gauge_tracks_attach_and_detach(self, phone_db):
+        """The status tree holds one entry per attached session."""
         kernel = GISKernel(phone_db)
         a = kernel.session(user="ana")
-        kernel.session(user="bob")
+        b = kernel.session(user="bob")
 
-        def gauge():
-            return obs_recorder.registry.gauge_value(
-                "kernel.sessions", database=phone_db.name)
+        def sessions():
+            return sorted(kernel.stats()["sessions"])
 
-        assert gauge() == 2
+        assert sessions() == sorted([a.session_id, b.session_id])
         a.shutdown()
-        assert gauge() == 1
+        assert sessions() == [b.session_id]
         kernel.shutdown()
-        assert gauge() == 0
+        assert sessions() == []
+
+    def test_status_tree_reads_under_concurrent_commits(self, phone_db):
+        """The wire reads the tree on executor threads while commits
+        add objects, versions and extents; no read may fail."""
+        import sys
+        import threading
+        import time
+
+        from repro.spatial.geometry import Point
+
+        kernel = GISKernel(phone_db)
+        kernel.session(user="ana")
+        stop = threading.Event()
+        committed = []
+
+        def writer():
+            while not stop.is_set():
+                with phone_db.transaction() as txn:
+                    txn.insert("phone_net", "Pole",
+                               {"pole_location": Point(1, 1), "pole_type": 1})
+                committed.append(1)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        thread = threading.Thread(target=writer)
+        thread.start()
+        try:
+            deadline = time.monotonic() + 0.25
+            while time.monotonic() < deadline:
+                kernel.stats()
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+            thread.join(10)
+        assert not thread.is_alive()
+        assert committed
+        assert kernel.stats()["database"]["objects"] == phone_db.stats()[
+            "objects"]
+        kernel.shutdown()
 
     def test_dispatch_spans_carry_the_session_tag(self, phone_db,
                                                   obs_recorder):

@@ -158,8 +158,31 @@ class TestRequestSurface:
         with connect(server) as client:
             client.open_session(user="ana")
             stats = client.stats()
-            assert stats["sessions"] == 1
-            assert stats["database"] == "GEO"
+            assert len(stats["sessions"]) == 1
+            assert stats["database"]["name"] == "GEO"
+
+    def test_wire_stats_and_cli_status_report_one_tree(self, server):
+        """At a quiescent point the wire ``stats`` answer, the kernel's
+        status tree and the CLI's ``status json`` are the same tree."""
+        import json
+
+        from repro.cli import CommandLoop
+
+        kernel = server[2]
+        output: list[str] = []
+        loop = CommandLoop(kernel.session(user="operator"),
+                           write=output.append)
+        with connect(server) as client:
+            client.open_session(user="ana")
+            client.open_schema("phone_net")
+            client.query("phone_net", "select * from Pole")
+            wire = client.stats()
+            tree = json.loads(json.dumps(kernel.stats()))
+            loop.run(["status json"])
+        assert wire == tree
+        assert json.loads("".join(output)) == tree
+        assert len(tree["sessions"]) == 2
+        assert tree["query_cache"]["misses"] == 1
 
 
 class TestPushFanOut:
@@ -233,10 +256,10 @@ class TestSessionLifecycle:
             assert server[2].session_count == 0
 
     def test_gauge_decrements_exactly_once_across_both_close_paths(
-            self, server, obs_recorder):
+            self, server):
         """close_session followed by a disconnect (or vice versa) must
-        leave ``kernel.sessions`` at its true value — the teardown runs
-        once, not twice."""
+        leave the status tree's ``sessions`` at its true value — the
+        teardown runs once, not twice."""
         kernel = server[2]
         client = connect(server)
         client.open_session(user="ana")
@@ -244,10 +267,7 @@ class TestSessionLifecycle:
         client.close_session()          # explicit close...
         client.close()                  # ...then connection drop
         wait_until(lambda: kernel.session_count == 0, message="detach")
-        gauge = obs_recorder.registry.gauge(
-            "kernel.sessions", database=kernel.database.name
-        )
-        assert gauge.value == 0
+        assert kernel.stats()["sessions"] == {}
 
     def test_dropped_connection_releases_its_sessions(self, server):
         kernel = server[2]

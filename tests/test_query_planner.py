@@ -271,17 +271,17 @@ class TestQueryResultCache:
         again = cache.execute("phone_net", parse_query(q[0]))
         assert again.report["cache"] == "miss"
 
-    def test_metrics(self, phone_db, obs_recorder):
+    def test_metrics(self, phone_db):
         cache = QueryResultCache(phone_db)
         cache.execute("phone_net", parse_query(self.QUERY))
         cache.execute("phone_net", parse_query(self.QUERY))
         phone_db.insert("phone_net", "Pole",
                         {"pole_location": Point(2, 2), "pole_type": 1})
         cache.execute("phone_net", parse_query(self.QUERY))
-        registry = obs_recorder.registry
-        assert registry.counter_total("query.cache.hit") == 1.0
-        assert registry.counter_total("query.cache.miss") == 2.0
-        assert registry.counter_total("query.cache.invalidation") == 1.0
+        stats = cache.stats()
+        assert stats["hits"] == 1
+        assert stats["misses"] == 2
+        assert stats["invalidations"] == 1
 
 
 class TestKernelQueries:
