@@ -7,7 +7,7 @@ window). A :class:`QueryResultCache` memoizes whole
 ``(schema, query fingerprint)`` and validates every lookup against the
 MVCC commit state of the classes the query touches:
 
-* ``GeographicDatabase._commit_locked`` bumps a per-class commit
+* ``GeographicDatabase._apply_batch`` bumps a per-class commit
   version (``class_version``) for every class a commit writes;
 * an entry stores the version of *every class in the query's closure*
   at execution time;

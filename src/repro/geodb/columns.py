@@ -21,10 +21,11 @@ Statistics` already relies on: a column set is stamped with
 ``(class commit version, extent cardinality)`` at build time and is
 discarded the moment either moves — live commits, crash-recovery replay,
 replicated batches and resyncs all bump the class version, so no new
-invalidation hook is needed. Building snapshots the extent under the
-database's mutation seqlock (retrying like ``Transaction.query``); if a
-commit is applying concurrently the build gives up and the engine falls
-back to the row path for that scan (``query.columns.fallback``).
+invalidation hook is needed. Building snapshots the extent as a
+seqlock-validated read (:meth:`~repro.geodb.database.GeographicDatabase.
+_read_stable`, the same retry-then-lock protocol as every other
+lock-free reader): while a commit is applying, the build retries and
+then waits for the commit lock, so a scan always gets a column set.
 
 Column sets describe **the latest committed state only**. MVCC snapshot
 readers (``Transaction.read`` / ``Transaction.query``) and mid-
@@ -41,10 +42,6 @@ from typing import Any
 from ..spatial.geometry import Geometry
 from .query import compile_path
 from .schema import GeoClass
-
-#: Build attempts against the commit seqlock before giving up (the
-#: engine then answers via the row path; the next query retries).
-_BUILD_RETRIES = 4
 
 
 class ClassColumns:
@@ -161,15 +158,11 @@ class ColumnCache:
         self.hits = 0
         self.invalidations = 0
 
-    def for_class(self, schema_name: str,
-                  class_name: str) -> ClassColumns | None:
-        """A version-fresh column set, or ``None`` mid-commit.
+    def for_class(self, schema_name: str, class_name: str) -> ClassColumns:
+        """A version-fresh column set for one class.
 
         Cached sets are validated against ``(class commit version,
-        extent cardinality)``; a stale set is rebuilt in place. Returns
-        ``None`` when a commit is applying concurrently (the extent
-        cannot be snapshotted consistently) — callers fall back to the
-        row path and retry on the next query.
+        extent cardinality)``; a stale set is rebuilt in place.
         """
         db = self._db
         key = (schema_name, class_name)
@@ -181,23 +174,11 @@ class ColumnCache:
                 and cached.cardinality == len(extent):
             self.hits += 1
             return cached
-        # (Re)build against a stable extent snapshot: the version and
-        # the object list must come from the same commit state, so the
-        # read is bracketed by the mutation seqlock exactly like
-        # Transaction.query's candidate collection.
-        for __ in range(_BUILD_RETRIES):
-            seq = db._mutation_seq
-            if seq & 1:
-                continue
-            version = db.class_version(schema_name, class_name)
-            try:
-                objects = list(extent)
-            except RuntimeError:
-                continue
-            if db._mutation_seq == seq:
-                break
-        else:
-            return None
+        # The version and the object list must come from the same
+        # commit state.
+        version, objects = db._read_stable(
+            lambda: (db.class_version(schema_name, class_name),
+                     list(extent)))
         fresh = ClassColumns(schema_name, class_name, version, objects)
         self._cache[key] = fresh
         self.builds += 1
@@ -206,7 +187,7 @@ class ColumnCache:
         return fresh
 
     def invalidate(self) -> None:
-        """Drop every column set (snapshot installs, resyncs, tests)."""
+        """Drop every column set (cold-scan measurements)."""
         self._cache.clear()
 
     def status(self) -> dict[str, Any]:

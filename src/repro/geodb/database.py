@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import os
 import threading
+from contextlib import contextmanager
+from functools import partial
 from typing import Any, Callable, Iterator
 
 from .. import obs
@@ -158,8 +160,7 @@ class GeographicDatabase:
         #: lazily created planner statistics (repro.geodb.planner)
         self._statistics = None
         #: lazily created columnar scan cache (repro.geodb.columns);
-        #: entries self-invalidate on class-version bumps, but snapshot
-        #: installs must clear it explicitly (same versions, new objects)
+        #: entries self-invalidate on class-version bumps
         self._column_cache = None
         #: lazily created tiled raster store (see repro.geodb.raster);
         #: stays None until a raster payload is committed or adopted
@@ -193,12 +194,12 @@ class GeographicDatabase:
         #: section (validate -> log -> apply -> version); reentrant so
         #: rule actions may open nested auto-commit transactions
         self._commit_lock = threading.RLock()
-        #: seqlock guarding lock-free snapshot reads against the commit
-        #: apply phase: odd while a commit is mutating the extents /
-        #: locations / indexes, even otherwise. Chain-less readers
-        #: re-check it around their extent fall-through and retry on a
-        #: change (see :meth:`_snapshot_values`); only ever written
-        #: under :attr:`_commit_lock`.
+        #: seqlock guarding lock-free reads against the apply phase:
+        #: odd while a batch is mutating the extents / locations /
+        #: indexes, even otherwise. Written only by :meth:`_mutating`
+        #: (under :attr:`_commit_lock`); read by :meth:`_read_stable`
+        #: and the inline fast paths of :meth:`_snapshot_values` and
+        #: ``Transaction.read``.
         self._mutation_seq = 0
 
     # ------------------------------------------------------------------
@@ -634,11 +635,10 @@ class GeographicDatabase:
         Lock-free but commit-safe: the mutation seqlock is sampled
         before the chain check and re-checked after the extent
         fall-through. A commit seeds a base version for every chain-less
-        oid in its write set *before* bumping the seqlock and mutating
-        the extents, so either the chain routes this read to the
+        oid in its write set *before* the seqlock goes odd and the
+        extents mutate, so either the chain routes this read to the
         pre-commit version, or the seqlock re-check catches the
-        transition and retries. After a few failed rounds (a stream of
-        back-to-back commits) the read resolves under the commit lock.
+        transition and the read goes to :meth:`_read_stable`.
         """
         seq = self._mutation_seq
         if oid in self._mvcc._chains:
@@ -650,45 +650,53 @@ class GeographicDatabase:
         values = None if obj is None else obj.values()
         if self._mutation_seq == seq:
             return values
-        return self._snapshot_values_contended(oid, ts)
+        return self._read_stable(lambda: self._version_values(oid, ts))
 
-    def _snapshot_values_contended(self, oid: str,
-                                   ts: int) -> dict[str, Any] | None:
-        """Retry path when a commit moved the seqlock around a read."""
-        chains = self._mvcc._chains
-        for __ in range(8):
-            seq = self._mutation_seq
-            if oid in chains:
-                version = self._mvcc.visible(oid, ts)
-                if version is None or version.values is None:
-                    return None
-                return dict(version.values)
+    def _version_values(self, oid: str, ts: int) -> dict[str, Any] | None:
+        """One unvalidated :meth:`_snapshot_values` read."""
+        version = self._mvcc.visible(oid, ts)
+        if version is VersionStore.UNKNOWN:
             obj = self.find_object(oid)
-            values = None if obj is None else obj.values()
-            if self._mutation_seq == seq:
-                return values
-        with self._commit_lock:
-            return self._snapshot_values(oid, ts)
+            return None if obj is None else obj.values()
+        if version is None or version.values is None:
+            return None
+        return dict(version.values)
 
     def _snapshot_locate(self, oid: str, ts: int) -> tuple[str, str] | None:
-        """(schema, class) of ``oid`` as of ``ts``, or None if absent.
+        """(schema, class) of ``oid`` as of ``ts``, or None if absent."""
+        def locate():
+            version = self._mvcc.visible(oid, ts)
+            if version is VersionStore.UNKNOWN:
+                return self._locations.get(oid)
+            if version is None or version.values is None:
+                return None
+            return (version.schema_name, version.class_name)
 
-        Same seqlock protocol as :meth:`_snapshot_values`: the
-        chain-less fall-through to the live ``_locations`` map is only
-        trusted when no commit mutated the extents around it.
+        return self._read_stable(locate)
+
+    def _read_stable(self, read: Callable[[], Any]) -> Any:
+        """The reader half of the seqlock: ``read()`` of a stable state.
+
+        Every lock-free reader of the live extents, locations and
+        indexes that cannot rely on seeded chains alone comes here. Up
+        to 8 rounds: a round is skipped while a batch is applying (odd
+        seqlock) or when ``read`` trips over a concurrent resize
+        (``RuntimeError``), and its result is accepted only if the
+        seqlock did not move. After 8 rounds ``read`` runs under the
+        commit lock, so it waits for the batch instead of giving up.
         """
         for __ in range(8):
             seq = self._mutation_seq
-            version = self._mvcc.visible(oid, ts)
-            if version is not VersionStore.UNKNOWN:
-                if version is None or version.values is None:
-                    return None
-                return (version.schema_name, version.class_name)
-            location = self.locate_object(oid)
+            if seq & 1:
+                continue
+            try:
+                result = read()
+            except RuntimeError:
+                continue
             if self._mutation_seq == seq:
-                return location
+                return result
         with self._commit_lock:
-            return self._snapshot_locate(oid, ts)
+            return read()
 
     def oldest_snapshot(self) -> int:
         """The GC watermark: the oldest live snapshot (or the current ts)."""
@@ -776,8 +784,7 @@ class GeographicDatabase:
         replayed = 0
         with self._commit_lock:
             for records in self.wal.replay():
-                commit_ts = self._batch_commit_ts(records)
-                self._replay_batch(records, commit_ts)
+                self._replay_batch(records, self._batch_commit_ts(records))
                 replayed += 1
         self.wal.recovered_txns += replayed
         if self.wal.pager.page_count:
@@ -787,46 +794,29 @@ class GeographicDatabase:
             self.checkpoint()
         return replayed
 
-    def _replay_batch(self, records: list[dict[str, Any]],
-                      commit_ts: int) -> dict[str, tuple[str, str]]:
-        """Replay one committed batch at ``commit_ts`` (caller locks).
+    def _replay_batch(self, records: list[dict[str, Any]], commit_ts: int
+                      ) -> tuple[list[_Intent], CommitWriteSet | None]:
+        """Redo one logged batch at ``commit_ts`` (caller locks).
 
-        The single replay path shared by crash recovery and follower
-        replication: redoes every intent idempotently, advances the
-        commit timestamp, bumps the commit version of **every touched
-        class** (the invariant planner statistics and the query-result
-        cache rely on — a replayed commit must invalidate cached
-        cardinalities exactly like a live one), and records the MVCC
-        versions at the logged timestamp. Returns the touched oids.
+        Crash recovery and follower replication both come here: tile
+        records are redone into the raster store (they precede the
+        intents that reference them), the intent records are decoded
+        once, and :meth:`_apply_batch` applies them idempotently.
+        Returns the intents and the captured write-set.
         """
-        touched: dict[str, tuple[str, str]] = {}
+        intents = []
         for doc in records:
             kind = doc.get("t")
             if kind == REC_RASTER:
-                # Tile records precede the intents that reference them,
-                # so by the time an object's RasterRef is decoded its
-                # tiles are readable. No oid bookkeeping: tiles belong
-                # to the raster store, not to any extent.
                 self.raster_store.replay_tile(doc)
             elif kind == REC_INTENT:
-                self._replay_intent(doc)
-                touched[doc["oid"]] = (doc["schema"], doc["class"])
-        self._commit_ts = max(self._commit_ts, commit_ts)
-        for schema_name, class_name in set(touched.values()):
-            self._class_versions[(schema_name, class_name)] = max(
-                self._class_versions.get((schema_name, class_name), 0),
-                commit_ts,
-            )
-        for oid, (schema_name, class_name) in touched.items():
-            obj = self.find_object(oid)
-            if obj is None:
-                self._mvcc.record(oid, commit_ts, None,
-                                  schema_name, class_name)
-            else:
-                schema_name, class_name = self._locations[oid]
-                self._mvcc.record(oid, commit_ts, obj.values(),
-                                  schema_name, class_name)
-        return touched
+                intents.append(_Intent(
+                    doc["op"], doc["schema"], doc["class"], doc["oid"],
+                    self._decode_record_values(doc["schema"], doc["class"],
+                                               doc["values"])))
+        write_set, __ = self._apply_batch(
+            commit_ts, intents, seed=bool(self._snapshots), replay=True)
+        return intents, write_set
 
     def _batch_commit_ts(self, records: list[dict[str, Any]]) -> int:
         """Commit timestamp of one replayed WAL batch.
@@ -840,40 +830,15 @@ class GeographicDatabase:
                 return doc["ts"]
         return self._commit_ts + 1
 
-    def _replay_intent(self, doc: dict[str, Any]) -> None:
-        """Redo one logged mutation unless its effect is already present."""
-        op, oid = doc["op"], doc["oid"]
-        values = self._decode_record_values(doc["schema"], doc["class"],
-                                            doc["values"])
-        intent = _Intent(op, doc["schema"], doc["class"], oid, values)
-        exists = oid in self._locations
-        if op == "insert" and not exists:
-            self._apply_insert(intent, [])
-        elif op == "update" and exists:
-            self._apply_update(intent, [])
-        elif op == "delete" and exists:
-            self._apply_delete(intent, [])
-
     def _encode_intent(self, intent: _Intent) -> dict[str, Any]:
         """A JSON-safe redo record for one staged mutation."""
-        values = intent.values
-        if values is not None:
-            schema = self.get_schema_object(intent.schema_name)
-            attrs = {
-                a.name: a
-                for a in schema.effective_attributes(intent.class_name)
-            }
-            values = {
-                name: (None if value is None
-                       else attrs[name].type.encode(value))
-                for name, value in values.items()
-            }
         return {
             "op": intent.op,
             "schema": intent.schema_name,
             "class": intent.class_name,
             "oid": intent.oid,
-            "values": values,
+            "values": self._encode_values(intent.schema_name,
+                                          intent.class_name, intent.values),
         }
 
     # ------------------------------------------------------------------
@@ -967,11 +932,6 @@ class GeographicDatabase:
         self._bulk_load_spatial(spatial_batches)
         for schema_name, class_name, version in doc.get("class_versions", []):
             self._class_versions[(schema_name, class_name)] = version
-        # A resync can install versions identical to what a stale column
-        # snapshot was stamped with, while the objects are brand new —
-        # the version check alone cannot catch that, so drop the cache.
-        if self._column_cache is not None:
-            self._column_cache.invalidate()
         self._commit_ts = doc["lsn"]
         return len(doc.get("objects", []))
 
@@ -984,10 +944,11 @@ class GeographicDatabase:
         follower keeps its last consistent state. Replay is idempotent
         by LSN: a batch at or below the applied LSN is skipped outright,
         so a follower that crashed mid-stream and re-follows never
-        records duplicate versions. Runs under the commit lock with the
-        same seqlock + pre-image seeding protocol as a live commit, so
-        concurrent read-only transactions on the follower stay
-        snapshot-consistent throughout.
+        records duplicate versions. The batch goes through the same
+        :meth:`_apply_batch` and :meth:`_publish_commit` as a local
+        commit, so concurrent read-only transactions on the follower
+        stay snapshot-consistent throughout, and its events carry
+        ``replicated: True``.
         """
         records = verify_envelope(envelope)
         lsn = envelope["lsn"]
@@ -1000,49 +961,14 @@ class GeographicDatabase:
                     f"{self._commit_ts} but the next shipped batch is "
                     f"{lsn}; re-bootstrap from a snapshot"
                 )
-            intent_docs = [doc for doc in records
-                           if doc.get("t") == REC_INTENT]
-            if self._snapshots:
-                self._seed_write_set(
-                    frozenset(doc["oid"] for doc in intent_docs),
-                    [_Intent(doc["op"], doc["schema"], doc["class"],
-                             doc["oid"], None) for doc in intent_docs],
-                )
-            write_set_delta = None
-            if intent_docs and self._write_set_listeners:
-                write_set_delta = self._capture_write_set(lsn, [
-                    WriteOp(doc["op"], doc["schema"], doc["class"],
-                            doc["oid"], doc["values"])
-                    for doc in intent_docs
-                ])
-            self._mutation_seq += 1
-            try:
-                self._replay_batch(records, lsn)
-            finally:
-                self._mutation_seq += 1
+            intents, write_set = self._replay_batch(records, lsn)
             self._applied_batches += 1
         # Post-apply delivery mirrors the leader's post-commit phase, so
         # a kernel serving sessions off this follower maintains watches,
-        # refreshes windows and pushes exactly like on the leader.
-        if write_set_delta is not None:
-            self._deliver_write_set(write_set_delta)
-        for doc in intent_docs:
-            self.bus.publish(
-                Event(
-                    EventKind(doc["op"]),
-                    doc["oid"],
-                    payload={
-                        "schema": doc["schema"],
-                        "class": doc["class"],
-                        "values": self._decode_record_values(
-                            doc["schema"], doc["class"], doc["values"]),
-                        "phase": "commit",
-                        "txn": doc.get("txn"),
-                        "ts": lsn,
-                        "replicated": True,
-                    },
-                )
-            )
+        # refreshes windows and pushes exactly like on the leader. Every
+        # record of a batch carries the leader's transaction id.
+        self._publish_commit(intents, write_set, lsn, records[0].get("txn"),
+                             replicated=True)
         return True
 
     def poll_replication(self, max_batches: int = 64) -> int:
@@ -1086,31 +1012,26 @@ class GeographicDatabase:
         """
         source = self._require_follower()
         snapshot = source.snapshot()
-        with self._commit_lock:
-            self._mutation_seq += 1
-            try:
-                for extent in self._extents.values():
-                    extent._objects.clear()
-                self._locations.clear()
-                self._rids.clear()
-                self._incoming_refs.clear()
-                for index in self._attr_indexes.values():
-                    index._buckets.clear()
-                    index._size = 0
-                self._spatial.clear()
-                self._mvcc._chains.clear()
-                self._commit_log.clear()
-                self._statistics = None
-                self._column_cache = None
-                self.heap = HeapFile(self.pager)
-                self.heap.attach_buffer(self.buffer)
-                # Drop the raster directory with the rest of the state;
-                # the snapshot's tile docs rebuild it from scratch.
-                self._raster_store = None
-                installed = self._install_snapshot(snapshot)
-            finally:
-                self._mutation_seq += 1
-        return installed
+        with self._commit_lock, self._mutating():
+            for extent in self._extents.values():
+                extent._objects.clear()
+            self._locations.clear()
+            self._rids.clear()
+            self._incoming_refs.clear()
+            for index in self._attr_indexes.values():
+                index._buckets.clear()
+                index._size = 0
+            self._spatial.clear()
+            self._mvcc._chains.clear()
+            self._commit_log.clear()
+            self._statistics = None
+            self._column_cache = None
+            self.heap = HeapFile(self.pager)
+            self.heap.attach_buffer(self.buffer)
+            # Drop the raster directory with the rest of the state;
+            # the snapshot's tile docs rebuild it from scratch.
+            self._raster_store = None
+            return self._install_snapshot(snapshot)
 
     @property
     def replication_lsn(self) -> int:
@@ -1159,6 +1080,23 @@ class GeographicDatabase:
                 f"cannot {op} on {self.name!r}: read-only follower "
                 "(writes go to the leader; use read_preference='leader')"
             )
+
+    def _encode_values(self, schema_name: str, class_name: str,
+                       values: dict[str, Any] | None
+                       ) -> dict[str, Any] | None:
+        """Schema-encode attribute values (JSON-safe): the inverse of
+        :meth:`_decode_record_values`, for heap records, logged intents
+        and snapshot objects."""
+        if values is None:
+            return None
+        schema = self.get_schema_object(schema_name)
+        attrs = {
+            a.name: a for a in schema.effective_attributes(class_name)
+        }
+        return {
+            attr: (None if value is None else attrs[attr].type.encode(value))
+            for attr, value in values.items()
+        }
 
     def _decode_record_values(self, schema_name: str, class_name: str,
                               values: dict[str, Any] | None
@@ -1234,42 +1172,21 @@ class GeographicDatabase:
             if ticket is not None and wait_durable:
                 self.wal.wait_durable(ticket)
                 ticket = None
-            # Write-set listeners (live query maintenance, window
-            # refresh, wire pushes) run before the bus publish so a rule
-            # reacting to the commit already observes delta-maintained
-            # standing results.
-            if write_set_delta is not None:
-                self._deliver_write_set(write_set_delta)
-            # Phase 5: post-commit events for the active rules. Outside
-            # the commit lock: subscribers only ever observe fully
-            # committed versions, and the fan-out must not extend the
-            # critical section other writers serialize on.
-            for intent in intents:
-                self.bus.publish(
-                    Event(
-                        EventKind(intent.op),
-                        intent.oid,
-                        payload={
-                            "schema": intent.schema_name,
-                            "class": intent.class_name,
-                            "values": intent.values,
-                            "phase": "commit",
-                            "txn": txn.txn_id,
-                            "ts": commit_ts,
-                        },
-                        session_id=txn.session_id,
-                    )
-                )
+            self._publish_commit(intents, write_set_delta, commit_ts,
+                                 txn.txn_id, txn.session_id)
         return ticket
 
     def _commit_locked(self, txn: Transaction, intents: list[_Intent],
                        rec) -> tuple[int, int | None, CommitWriteSet | None]:
         """The serialized commit critical section.
 
-        Returns ``(commit_ts, durability_ticket, write_set_delta)``; the
-        ticket is ``None`` when the WAL already ran its barrier inline
-        (group commit off, or no WAL attached), and the delta is ``None``
-        unless write-set listeners are registered."""
+        The local-only steps around :meth:`_apply_batch`: validation,
+        integrity checks, WAL logging and the commit record, the
+        no-steal scope and the commit log. Returns ``(commit_ts,
+        durability_ticket, write_set_delta)``; the ticket is ``None``
+        when the WAL already ran its barrier inline (group commit off,
+        or no WAL attached), and the delta is ``None`` unless write-set
+        listeners are registered."""
         write_set = frozenset(intent.oid for intent in intents)
         # Phase 0: first-committer-wins validation. Any transaction that
         # committed after our snapshot and wrote one of our oids makes
@@ -1302,34 +1219,21 @@ class GeographicDatabase:
                     session_id=txn.session_id,
                 )
             )
-        # Phase 3: log, then apply with an undo journal. The redo
-        # records are buffered in the WAL and forced by log_commit in
-        # one barrier — the durability point. The buffer's no-steal
-        # scope keeps every page this phase dirties (including the
-        # rollback's restorations) away from the pager until then, so
-        # a crash anywhere in here leaves the heap at the
-        # pre-transaction state and recovery sees no commit record.
-        # The commit timestamp is only published (to the counter, the
-        # commit log and the version store) after the durability point,
-        # so a failed attempt leaves no trace and the ts is reused.
-        #
-        # Concurrent snapshot readers are lock-free, so before the
-        # extents mutate, every chain-less oid in the write set gets a
-        # base version seeded (the pre-image, or a tombstone for fresh
-        # inserts) — readers resolve through the chain instead of
-        # observing the half-applied (or later rolled-back) extent. The
-        # mutation seqlock goes odd across the apply and stays odd until
-        # the commit-ts versions are recorded (or the rollback
-        # completes), so the extent fall-through for oids *outside* the
-        # write set detects the window and retries. Seeding is skipped
-        # when no other snapshot is live: new transactions serialize on
-        # the commit lock at begin, so no reader can exist that the
-        # chain would need to protect.
+        # Phase 3: log, then apply. The redo records are buffered in the
+        # WAL and forced by the commit record in one barrier — the
+        # durability point, reached inside the apply phase once every
+        # intent applied. The buffer's no-steal scope keeps every page
+        # the apply dirties (including a rollback's restorations) away
+        # from the pager until then, so a crash anywhere in here leaves
+        # the heap at the pre-transaction state and recovery sees no
+        # commit record. A failed attempt publishes no commit timestamp,
+        # so the ts is reused.
         commit_ts = self._commit_ts + 1
         # Raster payloads are cut into tile sets first, swapping each for
         # its RasterRef, so the intents encoded below carry descriptors.
         raster_writes = self._stage_rasters(intents)
         wal = self.wal
+        log_commit = None
         if wal is not None:
             wal.log_begin(txn.txn_id)
             for write in raster_writes:
@@ -1337,88 +1241,152 @@ class GeographicDatabase:
                     wal.log_raster(txn.txn_id, doc)
             for intent in intents:
                 wal.log_intent(txn.txn_id, self._encode_intent(intent))
+            # With group commit the barrier runs after the commit lock is
+            # released (see _commit_transaction); only pages are written.
+            log_commit = partial(
+                wal.log_commit_staged if getattr(wal, "group_commit", False)
+                else wal.log_commit, txn.txn_id, commit_ts=commit_ts)
+        # Seeding is skipped when no other snapshot is live: new
+        # transactions serialize on the commit lock at begin, so no
+        # reader can exist that the chain would need to protect.
         other_snapshots = len(self._snapshots)
         if txn.txn_id in self._snapshots:
             other_snapshots -= 1
-        if other_snapshots:
-            self._seed_write_set(write_set, intents)
-        undo: list[Callable[[], None]] = []
-        ticket: int | None = None
-        write_set_delta: CommitWriteSet | None = None
-        self._mutation_seq += 1
-        try:
-            with self.buffer.no_steal():
-                try:
-                    for write in raster_writes:
-                        self.raster_store.apply(write, undo)
-                    for intent in intents:
-                        if intent.op == "insert":
-                            self._apply_insert(intent, undo)
-                        elif intent.op == "update":
-                            self._apply_update(intent, undo)
-                        else:
-                            self._apply_delete(intent, undo)
-                    if wal is not None:
-                        if getattr(wal, "group_commit", False):
-                            # Pages only — the group barrier runs after
-                            # the commit lock is released (see
-                            # _commit_transaction).
-                            ticket = wal.log_commit_staged(
-                                txn.txn_id, commit_ts=commit_ts
-                            )
-                        else:
-                            wal.log_commit(txn.txn_id, commit_ts=commit_ts)
-                except Exception:
-                    # ABORTED must mean "no observable change": roll the
-                    # extents, heap, indexes and reference maps back to
-                    # the pre-transaction state before re-raising.
-                    # Seeded base versions stay — they equal the
-                    # restored extent state, so reads agree either way.
-                    while undo:
-                        undo.pop()()
-                    if wal is not None:
-                        wal.log_abort(txn.txn_id)
-                    raise
-            # Phase 4: publish the new versions under the commit
-            # timestamp (still inside the odd seqlock window — readers
-            # must not fall through to the extent before the version
-            # store reflects the commit).
-            self._commit_ts = commit_ts
-            if write_set:
-                self._commit_log.append((commit_ts, write_set))
-                if self._write_set_listeners:
-                    write_set_delta = self._capture_write_set(
-                        commit_ts,
-                        [WriteOp(i.op, i.schema_name, i.class_name, i.oid,
-                                 i.values) for i in intents],
-                        txn.session_id,
-                    )
-                for intent in intents:
-                    self._class_versions[
-                        (intent.schema_name, intent.class_name)
-                    ] = commit_ts
-                self._record_versions(write_set, commit_ts, intents)
-        finally:
-            self._mutation_seq += 1
+        with self.buffer.no_steal():
+            try:
+                write_set_delta, ticket = self._apply_batch(
+                    commit_ts, intents, seed=other_snapshots > 0,
+                    session_id=txn.session_id, rasters=raster_writes,
+                    log_commit=log_commit)
+            except Exception:
+                if wal is not None:
+                    wal.log_abort(txn.txn_id)
+                raise
+        if write_set:
+            self._commit_log.append((commit_ts, write_set))
         return commit_ts, ticket, write_set_delta
 
-    def _capture_write_set(self, commit_ts: int, ops: list[WriteOp],
-                           session_id: str | None = None) -> CommitWriteSet:
-        """Package ``ops`` with the class versions they move *from*.
+    @contextmanager
+    def _mutating(self):
+        """The writer half of the seqlock: odd for the block's duration.
 
-        Caller holds the commit lock and has not yet bumped the touched
-        classes' versions to ``commit_ts``.
+        The one place :attr:`_mutation_seq` moves. Callers hold the
+        commit lock.
         """
-        prev_versions: dict[tuple[str, str], int] = {}
-        for op in ops:
-            key = (op.schema_name, op.class_name)
-            if key not in prev_versions:
-                prev_versions[key] = self._class_versions.get(key, 0)
-        return CommitWriteSet(commit_ts, ops, prev_versions, session_id)
+        self._mutation_seq += 1
+        try:
+            yield
+        finally:
+            self._mutation_seq += 1
 
-    def _deliver_write_set(self, write_set: CommitWriteSet) -> None:
-        for listener in list(self._write_set_listeners):
-            listener(write_set)
+    def _apply_batch(self, commit_ts: int, intents: list[_Intent], *,
+                     seed: bool, session_id: str | None = None,
+                     replay: bool = False, rasters=(),
+                     log_commit: Callable[[], Any] | None = None
+                     ) -> tuple[CommitWriteSet | None, Any]:
+        """Apply one committed batch at ``commit_ts`` (caller locks).
+
+        The one path by which local commits, replicated batches and WAL
+        recovery change state, so rules and derived state see every
+        change the same way wherever it came from:
+
+        1. with ``seed``, give every chain-less written oid a base
+           version (its pre-image, or a tombstone for a fresh insert),
+           so lock-free snapshot readers resolve it through the chain
+           instead of the mid-apply — or rolled-back — extent;
+        2. make the seqlock odd, so readers of anything else retry;
+        3. apply staged raster tile sets (``rasters``), then each
+           intent — with ``replay``, one whose effect is already present
+           is skipped, which makes redo idempotent — then
+           ``log_commit`` (a local commit's WAL commit record, whose
+           result is the durability ticket). Any failure runs the undo
+           journal, restoring the extents, heap, indexes and reference
+           maps, and re-raises; seeded base versions stay, as they
+           equal the restored state;
+        4. publish ``commit_ts``, bump the version of every touched
+           class (planner statistics, the result cache and column sets
+           refresh on it), record one MVCC version per written oid, and
+           capture the :class:`CommitWriteSet` if anyone listens;
+        5. make the seqlock even.
+
+        Returns ``(write-set or None, ticket)`` for
+        :meth:`_publish_commit`.
+        """
+        if seed:
+            self._seed_write_set(intents)
+        undo: list[Callable[[], None]] = []
+        ticket = None
+        with self._mutating():
+            try:
+                for write in rasters:
+                    self.raster_store.apply(write, undo)
+                for intent in intents:
+                    op = intent.op
+                    if replay and (op == "insert") == (
+                            intent.oid in self._locations):
+                        continue
+                    if op == "insert":
+                        self._apply_insert(intent, undo)
+                    elif op == "update":
+                        self._apply_update(intent, undo)
+                    else:
+                        self._apply_delete(intent, undo)
+                if log_commit is not None:
+                    ticket = log_commit()
+            except Exception:
+                while undo:
+                    undo.pop()()
+                raise
+            self._commit_ts = max(self._commit_ts, commit_ts)
+            #: (schema, class) -> class version before this batch
+            prev_versions: dict[tuple[str, str], int] = {}
+            for intent in intents:
+                key = (intent.schema_name, intent.class_name)
+                if key not in prev_versions:
+                    prev = prev_versions[key] = self._class_versions.get(
+                        key, 0)
+                    self._class_versions[key] = max(prev, commit_ts)
+            self._record_versions(commit_ts, intents)
+            write_set = None
+            if intents and self._write_set_listeners:
+                write_set = CommitWriteSet(
+                    commit_ts,
+                    [WriteOp(i.op, i.schema_name, i.class_name, i.oid,
+                             i.values) for i in intents],
+                    prev_versions, session_id)
+        return write_set, ticket
+
+    def _publish_commit(self, intents: list[_Intent],
+                        write_set: CommitWriteSet | None, commit_ts: int,
+                        txn_id, session_id: str | None = None,
+                        replicated: bool = False) -> None:
+        """The post-commit step of every applied batch.
+
+        Runs on the committing (or applying) thread after the commit
+        lock is released and, for a local commit, after the durability
+        wait: subscribers only ever observe fully committed versions,
+        and the fan-out does not extend the critical section other
+        writers serialize on. Write-set listeners (live query
+        maintenance, window refresh, wire pushes) run first, so a rule
+        reacting to the commit-phase event already observes
+        delta-maintained standing results.
+        """
+        if write_set is not None:
+            for listener in list(self._write_set_listeners):
+                listener(write_set)
+        for intent in intents:
+            payload = {
+                "schema": intent.schema_name,
+                "class": intent.class_name,
+                "values": intent.values,
+                "phase": "commit",
+                "txn": txn_id,
+                "ts": commit_ts,
+            }
+            if replicated:
+                payload["replicated"] = True
+            self.bus.publish(Event(EventKind(intent.op), intent.oid,
+                                   payload=payload, session_id=session_id))
 
     def _conflicting_oids(self, snapshot_ts: int,
                           write_set: frozenset[str]) -> set[str]:
@@ -1432,9 +1400,8 @@ class GeographicDatabase:
             contended |= oids & write_set
         return contended
 
-    def _seed_write_set(self, write_set: frozenset[str],
-                        intents: list[_Intent]) -> None:
-        """Seed a base version for every chain-less oid in the write set.
+    def _seed_write_set(self, intents: list[_Intent]) -> None:
+        """Seed a base version for every chain-less oid ``intents`` write.
 
         Runs *before* the apply phase mutates the extents, so concurrent
         lock-free snapshot readers resolve these oids through the
@@ -1443,12 +1410,11 @@ class GeographicDatabase:
         and possibly later rolled-back — extent.
         """
         last_intent = {intent.oid: intent for intent in intents}
-        for oid in write_set:
+        for oid, intent in last_intent.items():
             if self._mvcc.has_chain(oid):
                 continue
             obj = self.find_object(oid)
             if obj is None:
-                intent = last_intent[oid]
                 self._mvcc.seed_base(oid, None, intent.schema_name,
                                      intent.class_name)
             else:
@@ -1456,18 +1422,13 @@ class GeographicDatabase:
                 self._mvcc.seed_base(oid, obj.values(),
                                      schema_name, class_name)
 
-    def _record_versions(
-        self,
-        write_set: frozenset[str],
-        commit_ts: int,
-        intents: list[_Intent],
-    ) -> None:
-        """Append one version per written oid at ``commit_ts``."""
+    def _record_versions(self, commit_ts: int,
+                         intents: list[_Intent]) -> None:
+        """Append one version per oid ``intents`` write at ``commit_ts``."""
         last_intent = {intent.oid: intent for intent in intents}
-        for oid in write_set:
+        for oid, intent in last_intent.items():
             obj = self.find_object(oid)
             if obj is None:
-                intent = last_intent[oid]
                 self._mvcc.record(oid, commit_ts, None,
                                   intent.schema_name, intent.class_name)
             else:
@@ -1598,23 +1559,14 @@ class GeographicDatabase:
     # -- maintenance of derived structures ------------------------------------
 
     def _record_for(self, obj: GeoObject) -> dict[str, Any]:
-        schema_name, class_name = self._locations.get(
-            obj.oid, (None, obj.class_name)
-        )
-        schema_name = schema_name or next(
-            s for s in self._schemas if self._schemas[s].has_class(obj.class_name)
-        )
-        schema = self.get_schema_object(schema_name)
-        attrs = {a.name: a for a in schema.effective_attributes(obj.class_name)}
-        encoded = {
-            name: attrs[name].type.encode(value)
-            for name, value in obj.values().items()
-        }
+        """The heap / snapshot record of a live object."""
+        schema_name, class_name = self._locations[obj.oid]
         return {
             "oid": obj.oid,
             "schema": schema_name,
-            "class": obj.class_name,
-            "values": encoded,
+            "class": class_name,
+            "values": self._encode_values(schema_name, class_name,
+                                          obj.values()),
         }
 
     def _spatial_attrs(self, obj: GeoObject) -> list[str]:

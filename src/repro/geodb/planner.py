@@ -151,7 +151,7 @@ class Statistics:
 
     Snapshots are computed lazily on first use and cached keyed by
     ``(class commit version, extent length)``: every commit that touches
-    a class bumps its version (see ``GeographicDatabase._commit_locked``),
+    a class bumps its version (see ``GeographicDatabase._apply_batch``),
     and bulk loads outside the commit path move the extent length, so a
     cached snapshot is exactly as fresh as the class it describes.
     """

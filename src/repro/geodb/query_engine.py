@@ -19,22 +19,21 @@ The engine evaluates a :class:`repro.geodb.query.Query` against a
 
 Every selection reaches the shaper as a list of ``(columns, selected
 row positions)`` parts, one per closure class. Full and hash scans
-select **columnar** when the class's version-stamped column snapshot
-(:mod:`repro.geodb.columns`) is fresh: the predicate compiles to a
-fused column kernel
-(:meth:`~repro.geodb.query.Predicate.compile_columns`) that selects row
-positions without touching a single :class:`GeoObject`. Everything
-else — index scans (whose candidates come from the R-tree), a
-mid-apply commit (the seqlock makes the build bail out), an engine
-built with ``use_columns=False`` and :meth:`QueryEngine.shape_rows`
-callers — refines object by object with ``matches`` and wraps the
-matches in a transient, unversioned column batch, so one set of
-ordering, aggregate and projection rules answers every route. A mixed
-closure shapes one part per class: one sort on the total order
-``(value is None, value, oid)`` and one aggregate whose float sums are
-correctly rounded (:func:`finalize_aggregate`). The per-class plan
-report records which selection ran (``columns: true/false`` plus a
-reason). The engine always answers at the **latest committed state** —
+select **columnar** over the class's version-stamped column snapshot
+(:mod:`repro.geodb.columns`, rebuilt when stale; a build that meets an
+applying commit waits for it): the predicate compiles to a fused column
+kernel (:meth:`~repro.geodb.query.Predicate.compile_columns`) that
+selects row positions without touching a single :class:`GeoObject`.
+Everything else — index scans (whose candidates come from the R-tree),
+an engine built with ``use_columns=False`` and
+:meth:`QueryEngine.shape_rows` callers — refines object by object with
+``matches`` and wraps the matches in a transient, unversioned column
+batch, so one set of ordering, aggregate and projection rules answers
+every route. A mixed closure shapes one part per class: one sort on the
+total order ``(value is None, value, oid)`` and one aggregate whose
+float sums are correctly rounded (:func:`finalize_aggregate`). The
+per-class plan report records which selection ran (``columns:
+true/false`` plus a reason). The engine always answers at the **latest committed state** —
 MVCC snapshot readers and mid-transaction overlays resolve through
 ``Transaction.query``/``read`` and never reach this module.
 
@@ -233,18 +232,24 @@ class QueryEngine:
 
         Returns ``((columns, selected row positions), candidates
         examined)``. Full and hash scans select over the class's column
-        snapshot; index scans, and plans the snapshot cannot serve,
-        refine the planned candidates with ``matches`` into a transient
-        batch — ``class_plan.columns``/``columns_reason`` always end up
-        describing what actually happened.
+        snapshot; index scans, and every scan of an engine built with
+        ``use_columns=False``, refine the planned candidates with
+        ``matches`` into a transient batch — ``class_plan.columns``/
+        ``columns_reason`` always end up describing what actually
+        happened.
         """
-        columns = self._snapshot(schema_name, class_plan) \
-            if class_plan.columns else None
-        if columns is None:
+        if class_plan.columns and not self.use_columns:
+            class_plan.columns = False
+            class_plan.columns_reason = "columns disabled"
+            if obs.RECORDER.enabled:
+                obs.RECORDER.inc("query.columns.fallback", reason="disabled")
+        if not class_plan.columns:
             objects = self._class_candidates(schema_name, class_plan,
                                              prefilter, equality)
             return (_row_part(_refine(objects, query.where, geo_class)),
                     len(objects))
+        columns = self.database.column_cache.for_class(
+            schema_name, class_plan.class_name)
         if class_plan.kind == HASH_SCAN:
             # Same candidate order as the row path: sorted oids, absent
             # members skipped.
@@ -258,27 +263,6 @@ class QueryEngine:
             return (columns, rows), len(rows)
         kernel = query.where.compile_columns(geo_class, columns)
         return (columns, kernel(rows)), len(rows)
-
-    def _snapshot(self, schema_name: str, class_plan: ClassPlan):
-        """The fresh column snapshot for a plan's class, or ``None``.
-
-        ``None`` (columns disabled, or a commit applying concurrently)
-        downgrades the plan to the row path and records why.
-        """
-        columns = self.database.column_cache.for_class(
-            schema_name, class_plan.class_name) if self.use_columns \
-            else None
-        class_plan.columns = columns is not None
-        if columns is None:
-            class_plan.columns_reason = ("commit in flight"
-                                         if self.use_columns
-                                         else "columns disabled")
-            rec = obs.RECORDER
-            if rec.enabled:
-                rec.inc("query.columns.fallback",
-                        reason="commit-in-flight" if self.use_columns
-                        else "disabled")
-        return columns
 
     def _hash_oids(self, schema_name: str, class_name: str,
                    equality) -> list[str]:

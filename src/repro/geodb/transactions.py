@@ -195,23 +195,13 @@ class Transaction:
         db = self.database
         db.get_schema_object(schema_name).get_class(class_name)
         # Candidate collection scans the live extent dict, which a
-        # concurrent commit may be mutating: validate the scan with the
-        # mutation seqlock (retrying on a change or a mid-resize
-        # RuntimeError), falling back to the commit lock. Per-oid value
-        # resolution below is snapshot-safe on its own.
-        for __ in range(8):
-            seq = db._mutation_seq
-            try:
-                candidates = set(db.extent(schema_name, class_name).oids())
-                candidates |= db._mvcc.class_oids(schema_name, class_name)
-            except RuntimeError:
-                continue
-            if db._mutation_seq == seq:
-                break
-        else:
-            with db._commit_lock:
-                candidates = set(db.extent(schema_name, class_name).oids())
-                candidates |= db._mvcc.class_oids(schema_name, class_name)
+        # concurrent commit may be mutating, so it runs as a seqlock-
+        # validated read. Per-oid value resolution below is
+        # snapshot-safe on its own.
+        extent = db.extent(schema_name, class_name)
+        candidates = db._read_stable(
+            lambda: set(extent.oids())
+            | db._mvcc.class_oids(schema_name, class_name))
         out: dict[str, dict[str, Any]] = {}
         for oid in candidates:
             values = db._snapshot_values(oid, self.snapshot_ts)

@@ -4,20 +4,26 @@ The contract under test: for every query the engine answers through
 column kernels, the answer is **byte-identical** (oids, rows, report
 candidates) to the row path's answer on the same database — and the
 column cache never serves stale state: commits invalidate via the class
-version stamp, concurrent commits force a truthful row-path fallback,
-and MVCC snapshot readers never touch columns at all.
+version stamp, a build that meets an applying commit waits for it and
+stays columnar, and MVCC snapshot readers never touch columns at all.
 """
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 from repro import obs
-from repro.geodb import ColumnCache, QueryEngine
+from repro.core.kernel import GISKernel
+from repro.geodb import ColumnCache, GeographicDatabase, QueryEngine
 from repro.geodb.query_language import parse_query, run_query
 from repro.spatial import BBox, Point
 from repro.workloads import build_phone_net_database
 from repro.workloads.phone_net import PhoneNetParams
+
+from tests import _reference as reference
 
 SCHEMA = "phone_net"
 
@@ -144,39 +150,63 @@ class TestCacheLifecycle:
 
 
 class TestSeqlockFallback:
-    def test_mid_commit_build_falls_back_to_rows(self, db):
+    """A column build that meets an applying commit falls back to the
+    commit lock: it waits for the commit instead of leaving the column
+    path."""
+
+    def test_mid_commit_query_waits_then_answers_columnar(
+            self, db, monkeypatch):
         engine = QueryEngine(db)
-        row_answer = answer(QueryEngine(db, use_columns=False).execute(
-            SCHEMA, parse_query(QUERIES[0])))
-        db._mutation_seq += 1          # simulate a commit mid-apply
+        text = "select * from Pole where status = 'broken'"
+        assert engine.execute(SCHEMA, parse_query(text)).oids() == []
+        victim = db.extent(SCHEMA, "Pole").oids()[0]
+        applying, release = threading.Event(), threading.Event()
+        real_record = GeographicDatabase._record_versions
+
+        def paused_record(database, *args, **kwargs):
+            # The extents and class versions already moved; the commit
+            # lock is held and the seqlock is odd.
+            applying.set()
+            release.wait(10)
+            return real_record(database, *args, **kwargs)
+
+        monkeypatch.setattr(GeographicDatabase, "_record_versions",
+                            paused_record)
+
+        def commit():
+            with db.transaction() as txn:
+                txn.update(victim, {"status": "broken"})
+
+        results = []
+        writer = threading.Thread(target=commit)
+        reader = threading.Thread(target=lambda: results.append(
+            engine.execute(SCHEMA, parse_query(text))))
+        writer.start()
         try:
-            assert db.column_cache.for_class(SCHEMA, "Pole") is None
-            result = engine.execute(SCHEMA, parse_query(QUERIES[0]))
+            assert applying.wait(10)
+            assert db._mutation_seq & 1
+            reader.start()
+            reader.join(0.2)
+            assert reader.is_alive() and results == []   # waiting
         finally:
-            db._mutation_seq -= 1
-        assert answer(result) == row_answer
-        (class_plan,) = result.report["plans"]
-        assert class_plan["columns"] is False
-        assert class_plan["columns_reason"] == "commit in flight"
-        # The lock released: the very next query builds columns again.
-        retry = engine.execute(SCHEMA, parse_query(QUERIES[0]))
-        assert retry.report["plans"][0]["columns"] is True
-        assert answer(retry) == row_answer
+            release.set()
+            writer.join(10)
+            if reader.ident is not None:
+                reader.join(10)
+        assert not writer.is_alive() and not reader.is_alive()
+        (result,) = results
+        assert result.oids() == [victim]
+        assert result.report["plans"][0]["columns"] is True
+        assert db.column_cache.for_class(SCHEMA, "Pole").version \
+            == db.class_version(SCHEMA, "Pole")
 
     def test_fallback_counter_labelled_by_reason(self, db):
         recorder = obs.enable(registry=obs.MetricsRegistry())
         try:
-            db._mutation_seq += 1
-            try:
-                QueryEngine(db).execute(SCHEMA, parse_query(QUERIES[0]))
-            finally:
-                db._mutation_seq -= 1
+            QueryEngine(db).execute(SCHEMA, parse_query(QUERIES[0]))
             QueryEngine(db, use_columns=False).execute(
                 SCHEMA, parse_query(QUERIES[0]))
-            registry = recorder.registry
-            assert registry.counter_value(
-                "query.columns.fallback", reason="commit-in-flight") == 1
-            assert registry.counter_value(
+            assert recorder.registry.counter_value(
                 "query.columns.fallback", reason="disabled") == 1
         finally:
             obs.disable()
@@ -193,6 +223,65 @@ class TestSeqlockFallback:
         assert summary["builds"] == 2
         assert summary["hits"] == 1
         assert summary["invalidations"] == 1
+
+
+class TestConcurrentCommitScan:
+    """Scans racing a stream of commits stay on the column path.
+
+    Regression: a build that met an applying commit used to give up,
+    and the engine then refined the live extent with nothing guarding
+    it — ``RuntimeError: dictionary changed size during iteration``
+    within a fraction of a second, and most scans left the column path.
+    """
+
+    def test_scans_stay_columnar_while_inserts_commit(self, db):
+        text = "select * from Pole where install_year > 1980"
+        done = threading.Event()
+        errors: list[Exception] = []
+        plans: list[dict] = []
+
+        def writer():
+            try:
+                for i in range(300):
+                    with db.transaction() as txn:
+                        txn.insert(SCHEMA, "Pole", {
+                            "pole_type": 1 + i % 3, "status": "new",
+                            "install_year": 1960 + i % 50,
+                            "pole_location": Point(float(i), 1.0),
+                        })
+            except Exception as exc:         # reported below
+                errors.append(exc)
+            finally:
+                done.set()
+
+        def reader(kernel):
+            try:
+                while not done.is_set():
+                    result = kernel.query(SCHEMA, text, use_cache=False)
+                    plans.extend(result.report["plans"])
+            except Exception as exc:         # reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with GISKernel(db) as kernel:
+                threads = [threading.Thread(target=writer)] + [
+                    threading.Thread(target=reader, args=(kernel,))
+                    for __ in range(2)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(60)
+                assert not any(thread.is_alive() for thread in threads)
+                final = kernel.query(SCHEMA, text, use_cache=False)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert plans and all(plan["columns"] is True for plan in plans)
+        expected, __ = reference.evaluate(db, SCHEMA, parse_query(text))
+        assert sorted(final.oids()) == sorted(obj.oid for obj in expected)
+        assert final.report["plans"][0]["columns"] is True
 
 
 class TestMVCCRouting:

@@ -25,7 +25,10 @@ from repro.geodb import (
     MemoryPager,
     WriteAheadLog,
 )
+from repro.geodb.schema import Attribute, GeoClass, Schema
+from repro.geodb.types import INTEGER, TEXT
 from repro.geodb.wal import batch_checksum, make_envelope, verify_envelope
+from repro.spatial import Point
 from repro.workloads import build_mix_schema
 from repro.workloads.txn_mix import MIX_CLASS, MIX_SCHEMA, snapshot_state
 
@@ -373,3 +376,115 @@ class TestGroupCommitShipping:
         txn.wait_durable()
         assert follower.poll_replication() == 1
         assert snapshot_state(follower) == snapshot_state(leader)
+
+
+# ---------------------------------------------------------------------------
+# Derived state: leader == follower == recovered copy
+# ---------------------------------------------------------------------------
+
+MARKER = "Marker"
+
+
+def two_class_schema() -> Schema:
+    schema = build_mix_schema()
+    schema.add_class(GeoClass(MARKER, attributes=[
+        Attribute("label", TEXT, required=True),
+        Attribute("weight", INTEGER),
+    ]))
+    return schema
+
+
+class _Delivered:
+    """What one database delivers after each applied batch: write-sets
+    and commit-phase bus events, in a comparable form."""
+
+    def __init__(self, db):
+        self.write_sets: list[tuple] = []
+        self.events: list[tuple] = []
+        db.add_write_set_listener(self._on_write_set)
+        db.bus.subscribe(self._on_event)
+
+    def _on_write_set(self, write_set):
+        self.write_sets.append((
+            write_set.commit_ts,
+            [(op.op, op.schema_name, op.class_name, op.oid,
+              None if op.changed is None else sorted(op.changed))
+             for op in write_set.ops],
+            dict(write_set.prev_versions),
+        ))
+
+    def _on_event(self, event):
+        payload = event.payload
+        if payload.get("phase") == "commit":
+            self.events.append((
+                event.kind, event.subject, payload["schema"],
+                payload["class"], payload["values"], payload["ts"],
+                payload["txn"],
+            ))
+
+
+def run_two_class_mix(db) -> None:
+    """Inserts, updates (including an unset) and deletes over two
+    classes, single-statement and multi-intent transactions."""
+    features = [
+        db.insert(MIX_SCHEMA, MIX_CLASS, {
+            "name": f"f{i}", "size": i, "location": Point(i, 2 * i)})
+        for i in range(4)
+    ]
+    markers = [db.insert(MIX_SCHEMA, MARKER, {"label": f"m{i}", "weight": i})
+               for i in range(3)]
+    with db.transaction() as txn:
+        txn.update(features[0], {"size": 40, "location": Point(9, 9)})
+        txn.update(markers[0], {"weight": None})
+        txn.delete(markers[1])
+        txn.insert(MIX_SCHEMA, MARKER, {"label": "late", "weight": 7})
+    db.update(features[1], {"name": "renamed"})
+    db.delete(features[2])
+    with db.transaction() as txn:
+        twice = txn.insert(MIX_SCHEMA, MIX_CLASS, {"name": "twice", "size": 1})
+        txn.update(twice, {"size": 2})
+        gone = txn.insert(MIX_SCHEMA, MARKER, {"label": "gone"})
+        txn.delete(gone)
+    db.update(markers[2], {"label": "last", "weight": 30})
+
+
+class TestDerivedStateOracle:
+    CLASSES = [(MIX_SCHEMA, MIX_CLASS), (MIX_SCHEMA, MARKER)]
+
+    def test_follower_and_recovered_copy_match_leader(self):
+        leader = GeographicDatabase("leader", pager=MemoryPager())
+        leader.register_schema(two_class_schema())
+        leader.attach_wal(WriteAheadLog(MemoryPager(), sync_mode="none"))
+        follower = GeographicDatabase.follow(
+            LocalReplicationSource(leader), name="f")
+        on_leader, on_follower = _Delivered(leader), _Delivered(follower)
+        run_two_class_mix(leader)
+        follower.poll_replication()
+        head = leader.replication_lsn
+        assert follower.replication_lsn == head == 12
+
+        versions = {key: leader.class_version(*key) for key in self.CLASSES}
+        assert versions == {(MIX_SCHEMA, MIX_CLASS): 11,
+                            (MIX_SCHEMA, MARKER): 12}
+        assert {key: follower.class_version(*key)
+                for key in self.CLASSES} == versions
+
+        oids = set(leader._mvcc._chains)
+        assert oids == set(follower._mvcc._chains)
+        for ts in range(head + 1):
+            for oid in sorted(oids):
+                assert follower._snapshot_values(oid, ts) \
+                    == leader._snapshot_values(oid, ts), (oid, ts)
+
+        assert len(on_leader.write_sets) == head
+        assert on_follower.write_sets == on_leader.write_sets
+        assert len(on_leader.events) == 18
+        assert on_follower.events == on_leader.events
+
+        # The leader never checkpointed: its WAL holds every batch.
+        copy = GeographicDatabase("copy")
+        copy.register_schema(two_class_schema())
+        copy.attach_wal(leader.wal)
+        assert copy.recover() == head
+        assert {key: copy.class_version(*key)
+                for key in self.CLASSES} == versions
