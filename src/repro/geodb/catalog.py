@@ -27,7 +27,6 @@ KIND_WIDGET = "widget"
 KIND_CUSTOMIZATION = "customization"
 KIND_RULE = "rule"
 KIND_PRESENTATION = "presentation"
-KIND_STATISTICS = "statistics"
 
 
 class MetadataCatalog:
@@ -96,23 +95,6 @@ class MetadataCatalog:
         :meth:`GeographicDatabase.register_method` after loading.
         """
         return Schema.from_description(self.get(KIND_SCHEMA, name))
-
-    # -- planner statistics ------------------------------------------------------
-
-    def save_statistics(self, schema_name: str) -> None:
-        """Persist the planner's statistics snapshot for one schema.
-
-        The snapshot is advisory — the live planner recomputes lazily
-        from commit versions — but a stored copy lets tooling inspect
-        the cost model's inputs (and a re-opened database warm-start
-        its estimates) without touching every extent.
-        """
-        snapshot = self.database.statistics.snapshot(schema_name)
-        self.put(KIND_STATISTICS, schema_name, snapshot[schema_name])
-
-    def load_statistics(self, schema_name: str) -> dict[str, Any]:
-        """The stored per-class statistics snapshot for one schema."""
-        return self.get(KIND_STATISTICS, schema_name)
 
     def save_all_schemas(self) -> int:
         count = 0

@@ -16,16 +16,19 @@ a packed bbox column per geometry attribute — so predicate kernels
 list comprehensions over positions, without materializing or calling
 into any object until the surviving rows are known.
 
-Freshness uses the exact mechanism planner :class:`~repro.geodb.planner.
-Statistics` already relies on: a column set is stamped with
-``(class commit version, extent cardinality)`` at build time and is
-discarded the moment either moves — live commits, crash-recovery replay,
-replicated batches and resyncs all bump the class version, so no new
-invalidation hook is needed. Building snapshots the extent as a
-seqlock-validated read (:meth:`~repro.geodb.database.GeographicDatabase.
-_read_stable`, the same retry-then-lock protocol as every other
-lock-free reader): while a commit is applying, the build retries and
-then waits for the commit lock, so a scan always gets a column set.
+Freshness is judged by the class commit version alone, the one key
+every piece of derived state uses: a column set is stamped with
+:meth:`~repro.geodb.database.GeographicDatabase.class_version` at build
+time and is discarded the moment it moves — live commits, crash-recovery
+replay and replicated batches all bump it through ``_apply_batch``. The
+two paths that move an extent without a commit, ``load_from_storage``
+and ``resync``, drop the whole cache instead.
+
+Building snapshots the extent as a seqlock-validated read
+(:meth:`~repro.geodb.database.GeographicDatabase._read_stable`, the same
+retry-then-lock protocol as every other lock-free reader): while a
+commit is applying, the build retries and then waits for the commit
+lock, so a scan always gets a column set.
 
 Column sets describe **the latest committed state only**. MVCC snapshot
 readers (``Transaction.read`` / ``Transaction.query``) and mid-
@@ -161,19 +164,18 @@ class ColumnCache:
     def for_class(self, schema_name: str, class_name: str) -> ClassColumns:
         """A version-fresh column set for one class.
 
-        Cached sets are validated against ``(class commit version,
-        extent cardinality)``; a stale set is rebuilt in place.
+        Cached sets are validated against the class commit version; a
+        stale set is rebuilt in place.
         """
         db = self._db
         key = (schema_name, class_name)
-        extent = db.extent(schema_name, class_name)
         cached = self._cache.get(key)
         if cached is not None \
                 and cached.version == db.class_version(schema_name,
-                                                       class_name) \
-                and cached.cardinality == len(extent):
+                                                       class_name):
             self.hits += 1
             return cached
+        extent = db.extent(schema_name, class_name)
         # The version and the object list must come from the same
         # commit state.
         version, objects = db._read_stable(

@@ -150,15 +150,13 @@ class GeographicDatabase:
         #: (schema, class, method) -> callable(db, obj, *args)
         self._methods: dict[tuple[str, str, str], Callable] = {}
         #: (schema, class) -> commit ts of the last commit touching the
-        #: class; drives planner-statistics refresh and query-result-
-        #: cache invalidation (see repro.geodb.planner / core.query_cache)
+        #: class; the one freshness key of derived state (column sets,
+        #: query-result-cache entries, live watches)
         self._class_versions: dict[tuple[str, str], int] = {}
         #: callables invoked with a :class:`CommitWriteSet` after every
         #: commit's durability point (on the committing thread, outside
         #: the commit lock); empty list = zero capture overhead
         self._write_set_listeners: list[Callable[[CommitWriteSet], None]] = []
-        #: lazily created planner statistics (repro.geodb.planner)
-        self._statistics = None
         #: lazily created columnar scan cache (repro.geodb.columns);
         #: entries self-invalidate on class-version bumps
         self._column_cache = None
@@ -308,16 +306,19 @@ class GeographicDatabase:
         return len(self.extent(schema_name, class_name))
 
     # ------------------------------------------------------------------
-    # Planner statistics and class versions
+    # Class versions and derived state
     # ------------------------------------------------------------------
 
     def class_version(self, schema_name: str, class_name: str) -> int:
         """Commit timestamp of the last commit that touched the class.
 
-        ``0`` for classes never written through the commit path. The
-        query planner keys its statistics snapshots on this value, and
-        the kernel's query-result cache validates entries against it —
-        both refresh lazily after any commit touching the class.
+        ``0`` for classes never written through the commit path. It is
+        the one freshness key of derived state: column sets, the
+        kernel's query-result cache and live watches validate against
+        it, so all refresh lazily after any commit touching the class.
+        Changes outside the commit path drop what they make stale
+        (:meth:`load_from_storage` and :meth:`resync` reset the column
+        cache).
         """
         return self._class_versions.get((schema_name, class_name), 0)
 
@@ -341,15 +342,6 @@ class GeographicDatabase:
             self._write_set_listeners.remove(listener)
         except ValueError:
             pass
-
-    @property
-    def statistics(self):
-        """The planner's :class:`~repro.geodb.planner.Statistics`."""
-        if self._statistics is None:
-            from .planner import Statistics
-
-            self._statistics = Statistics(self)
-        return self._statistics
 
     @property
     def column_cache(self):
@@ -1024,7 +1016,6 @@ class GeographicDatabase:
             self._spatial.clear()
             self._mvcc._chains.clear()
             self._commit_log.clear()
-            self._statistics = None
             self._column_cache = None
             self.heap = HeapFile(self.pager)
             self.heap.attach_buffer(self.buffer)
@@ -1304,7 +1295,7 @@ class GeographicDatabase:
            maps, and re-raises; seeded base versions stay, as they
            equal the restored state;
         4. publish ``commit_ts``, bump the version of every touched
-           class (planner statistics, the result cache and column sets
+           class (column sets, the result cache and live watches
            refresh on it), record one MVCC version per written oid, and
            capture the :class:`CommitWriteSet` if anyone listens;
         5. make the seqlock even.
@@ -1637,6 +1628,11 @@ class GeographicDatabase:
         *adopted* — not re-inserted — so the heap is untouched and every
         restored object keeps its record id. Returns the number of objects
         restored. Catalog documents are skipped.
+
+        Adoption moves extents without a commit, so class versions stay
+        put; the column cache is dropped instead, as :meth:`resync`
+        does, because a set built before the load would still look
+        fresh.
         """
         from .instances import ensure_oid_counter_above
 
@@ -1659,6 +1655,7 @@ class GeographicDatabase:
             if suffix.isdigit():
                 max_suffix = max(max_suffix, int(suffix))
         self._bulk_load_spatial(spatial_batches)
+        self._column_cache = None
         if max_suffix:
             ensure_oid_counter_above(max_suffix)
         return loaded

@@ -5,23 +5,20 @@ Until now the query engine picked its access path by fixed priority
 wrong in both directions: a bounding box covering the whole map still
 pays the R-tree walk plus a per-candidate refine, while a highly
 selective hash bucket is ignored whenever any spatial prefilter exists.
-This module replaces the priority rule with estimated costs:
+This module replaces the priority rule with estimated costs.
+:class:`QueryPlanner` chooses, **per class** of the query's closure (the
+class plus its transitive subclasses when ``include_subclasses`` is
+set), the cheapest of full scan / hash scan / R-tree scan by the cost
+model below. Mixed closures therefore mix access paths — one subclass
+may scan its R-tree while an unindexed sibling falls back to its
+extent — and the per-class decisions are reported truthfully in the
+execution report.
 
-* :class:`Statistics` — per-(schema, class) measurements: extent
-  cardinality, hash-index selectivity (via
-  :meth:`~repro.geodb.attr_index.HashIndex.stats`), and R-tree coverage
-  (entry count plus the index's bounding box). Snapshots are cached and
-  keyed by the class's **commit version**
-  (:meth:`~repro.geodb.database.GeographicDatabase.class_version`), so
-  they refresh lazily after every commit that touches the class and are
-  free between commits.
-* :class:`QueryPlanner` — chooses, **per class** of the query's closure
-  (the class plus its transitive subclasses when ``include_subclasses``
-  is set), the cheapest of full scan / hash scan / R-tree scan by the
-  cost model below. Mixed closures therefore mix access paths — one
-  subclass may scan its R-tree while an unindexed sibling falls back to
-  its extent — and the per-class decisions are reported truthfully in
-  the execution report.
+The cost model reads the live catalog at plan time, nothing cached: the
+extent's length, the class's R-tree (entry count and root bounding box)
+and the hash index's bucket lengths. Each is O(1) to read (the root box
+unions at most one node's entries), so a plan is always as fresh as the
+commit state it runs against, and there is no snapshot to invalidate.
 
 Cost model (unit: one extent-row visit)
 ---------------------------------------
@@ -29,9 +26,8 @@ Cost model (unit: one extent-row visit)
 ``full-scan``      ``1 + N`` — touch every row of the extent.
 ``hash-scan``      ``2 + est_rows`` — bucket probes are O(1); the work
                    is fetching and refining the bucket members.
-                   ``est_rows`` is exact when the index is consulted
-                   (bucket lengths are known), else the average bucket
-                   size times the number of probe values.
+                   ``est_rows`` is exact: the sum of the probed
+                   buckets' lengths.
 ``index-scan``     ``2·log2(N+2) + 1.15·est_rows`` — the tree descent
                    plus fetch/refine of the overlap estimate, with a
                    mild penalty for the R-tree's rectangle tests.
@@ -113,129 +109,6 @@ class ClassPlan:
                 f"{' via ' + self.index if self.index else ''}>")
 
 
-class ClassStats:
-    """One class's statistics snapshot (valid for one commit version)."""
-
-    __slots__ = ("version", "cardinality", "spatial", "hash")
-
-    def __init__(self, version: int, cardinality: int,
-                 spatial: dict[str, dict[str, Any]],
-                 hash_: dict[str, dict[str, Any]]):
-        self.version = version
-        self.cardinality = cardinality
-        #: attr -> {entries, bbox (BBox|None)}
-        self.spatial = spatial
-        #: attr -> {entries, distinct, avg_bucket, max_bucket}
-        self.hash = hash_
-
-    def describe(self) -> dict[str, Any]:
-        return {
-            "version": self.version,
-            "cardinality": self.cardinality,
-            "spatial": {
-                attr: {
-                    "entries": info["entries"],
-                    "bbox": None if info["bbox"] is None else [
-                        info["bbox"].min_x, info["bbox"].min_y,
-                        info["bbox"].max_x, info["bbox"].max_y,
-                    ],
-                }
-                for attr, info in self.spatial.items()
-            },
-            "hash": dict(self.hash),
-        }
-
-
-class Statistics:
-    """Catalog-level planner statistics for one database.
-
-    Snapshots are computed lazily on first use and cached keyed by
-    ``(class commit version, extent length)``: every commit that touches
-    a class bumps its version (see ``GeographicDatabase._apply_batch``),
-    and bulk loads outside the commit path move the extent length, so a
-    cached snapshot is exactly as fresh as the class it describes.
-    """
-
-    def __init__(self, database):
-        self._db = database
-        #: (schema, class) -> ClassStats
-        self._cache: dict[tuple[str, str], ClassStats] = {}
-
-    def for_class(self, schema_name: str, class_name: str,
-                  schema=None) -> ClassStats:
-        key = (schema_name, class_name)
-        db = self._db
-        version = db.class_version(schema_name, class_name)
-        if schema is None:
-            cardinality = len(db.extent(schema_name, class_name))
-        else:
-            # Batched callers (snapshot) have already validated the
-            # schema/class pair — probe the extent table directly
-            # instead of re-walking the catalog per class.
-            extent = db._extents.get(key)
-            cardinality = 0 if extent is None else len(extent)
-        cached = self._cache.get(key)
-        if cached is not None and cached.version == version \
-                and cached.cardinality == cardinality:
-            return cached
-        stats = self._compute(schema_name, class_name, version, cardinality,
-                              schema=schema)
-        self._cache[key] = stats
-        return stats
-
-    def _compute(self, schema_name: str, class_name: str, version: int,
-                 cardinality: int, schema=None) -> ClassStats:
-        db = self._db
-        if schema is None:
-            schema = db.get_schema_object(schema_name)
-        spatial: dict[str, dict[str, Any]] = {}
-        hash_: dict[str, dict[str, Any]] = {}
-        for attr in schema.effective_attributes(class_name):
-            if attr.is_spatial():
-                index = db._spatial.get((schema_name, class_name, attr.name))
-                if index is not None and len(index):
-                    spatial[attr.name] = {
-                        "entries": len(index), "bbox": index.bbox(),
-                    }
-            else:
-                index = db.attribute_index(schema_name, class_name, attr.name)
-                if index is not None:
-                    info = index.stats()
-                    distinct = info["distinct_values"]
-                    hash_[attr.name] = {
-                        "entries": info["entries"],
-                        "distinct": distinct,
-                        "avg_bucket": (info["entries"] / distinct
-                                       if distinct else 0.0),
-                        "max_bucket": info["max_bucket"],
-                    }
-        return ClassStats(version, cardinality, spatial, hash_)
-
-    def invalidate(self) -> None:
-        """Drop every cached snapshot (tests / bulk administrative ops)."""
-        self._cache.clear()
-
-    def snapshot(self, schema_name: str | None = None) -> dict[str, Any]:
-        """A JSON-safe export of the statistics for persistence / CLI.
-
-        Computes fresh snapshots for every class of the named schema (or
-        all schemas), so the export reflects the current commit state.
-        Batched: the schema object is fetched once per schema and passed
-        through, so each class costs one extent/version probe instead of
-        a catalog walk plus an extent validation of its own.
-        """
-        db = self._db
-        out: dict[str, Any] = {}
-        names = [schema_name] if schema_name else db.schema_names()
-        for name in names:
-            schema = db.get_schema_object(name)
-            out[name] = {
-                cls: self.for_class(name, cls, schema=schema).describe()
-                for cls in schema.class_names()
-            }
-        return out
-
-
 def _overlap_ratio(probe: BBox, extent: BBox) -> float:
     """Fraction of the index's coverage a probe box selects, in [0, 1].
 
@@ -262,7 +135,6 @@ class QueryPlanner:
 
     def __init__(self, database):
         self._db = database
-        self.statistics = database.statistics
 
     # -- closure ---------------------------------------------------------
 
@@ -309,8 +181,7 @@ class QueryPlanner:
     ) -> ClassPlan:
         """The cheapest access path for one class."""
         db = self._db
-        stats = self.statistics.for_class(schema_name, class_name)
-        n = stats.cardinality
+        n = len(db.extent(schema_name, class_name))
         best = ClassPlan(class_name, FULL_SCAN, None,
                          _SCAN_SETUP + n * _ROW_COST, float(n),
                          reason="extent scan")
@@ -335,12 +206,12 @@ class QueryPlanner:
 
         if prefilter is not None:
             attr, box = prefilter
-            info = stats.spatial.get(attr)
-            if info is not None:
+            rtree = db._spatial.get((schema_name, class_name, attr))
+            entries = 0 if rtree is None else len(rtree)
+            if entries:
                 # A populated R-tree proves the attribute is spatial
                 # here; no schema walk needed on the common path.
-                entries = info["entries"]
-                ratio = _overlap_ratio(box, info["bbox"])
+                ratio = _overlap_ratio(box, rtree.bbox())
                 est_rows = entries * ratio
                 cost = (2.0 * math.log2(entries + 2)
                         + est_rows * _RTREE_ROW_COST)

@@ -5,8 +5,8 @@ The engine evaluates a :class:`repro.geodb.query.Query` against a
 
 1. **Plan** — the :class:`~repro.geodb.planner.QueryPlanner` chooses,
    per class of the query's closure, the cheapest of R-tree scan, hash
-   scan and full extent scan from catalog statistics (extent
-   cardinality, bucket sizes, R-tree coverage). Mixed closures mix
+   scan and full extent scan from the live catalog (extent length,
+   bucket sizes, R-tree size and coverage). Mixed closures mix
    access paths; every per-class decision lands in the execution
    report.
 2. **Refine** — one evaluator per access shape: a column kernel over a
@@ -85,11 +85,11 @@ def finalize_aggregate(op: str, values) -> Any:
     return total if op == "sum" else total / len(values)
 
 
-def _refine(objects, where: Predicate, geo_class: GeoClass) -> list:
+def _refine(objects: list, where: Predicate, geo_class: GeoClass) -> list:
     """The candidates ``where`` matches, one ``matches`` call each
-    (every candidate for a browse query)."""
+    (the candidate list itself for a browse query)."""
     if isinstance(where, TruePredicate):
-        return list(objects)
+        return objects
     matches = where.matches
     return [obj for obj in objects if matches(obj, geo_class)]
 
@@ -275,7 +275,9 @@ class QueryEngine:
 
     def _class_candidates(self, schema_name: str, class_plan: ClassPlan,
                           prefilter, equality):
-        """Candidates for one class via its planned access path."""
+        """Candidates for one class via its planned access path, as a
+        fresh list (a full scan snapshots the extent under the seqlock,
+        so concurrent commits cannot resize it mid-refine)."""
         db = self.database
         class_name = class_plan.class_name
         if class_plan.kind == INDEX_SCAN:
@@ -287,7 +289,8 @@ class QueryEngine:
             return db.fetch_objects(
                 schema_name, class_name,
                 self._hash_oids(schema_name, class_name, equality))
-        return db.extent(schema_name, class_name)
+        extent = db.extent(schema_name, class_name)
+        return db._read_stable(lambda: list(extent))
 
     @staticmethod
     def _report(plans, candidates: int) -> dict[str, Any]:

@@ -122,7 +122,8 @@ class Scenario:
         """The class extension as the hypothetical world sees it."""
         self._require_open()
         seen: set[str] = set()
-        for obj in self.database.extent(self.schema_name, class_name):
+        extent = self.database.extent(self.schema_name, class_name)
+        for obj in self.database._read_stable(lambda: list(extent)):
             seen.add(obj.oid)
             staged = self._overlay.get(obj.oid, "absent")
             if staged is None:

@@ -17,11 +17,13 @@ import pytest
 
 from repro import obs
 from repro.core.kernel import GISKernel
-from repro.geodb import ColumnCache, GeographicDatabase, QueryEngine
+from repro.geodb import (ColumnCache, FilePager, GeographicDatabase,
+                         MetadataCatalog, QueryEngine)
 from repro.geodb.query_language import parse_query, run_query
 from repro.spatial import BBox, Point
-from repro.workloads import build_phone_net_database
+from repro.workloads import build_mix_schema, build_phone_net_database
 from repro.workloads.phone_net import PhoneNetParams
+from repro.workloads.txn_mix import MIX_CLASS, MIX_SCHEMA
 
 from tests import _reference as reference
 
@@ -130,6 +132,38 @@ class TestCacheLifecycle:
         assert len(result.objects) == count
         assert victim not in result.oids()
 
+    def test_load_from_storage_drops_stale_sets(self, tmp_path):
+        # Adopting stored records moves the extent without a commit, so
+        # the class version stays 0; a set built on the empty extent
+        # before the load must not answer after it.
+        path = str(tmp_path / "mix.db")
+        source = GeographicDatabase("mix", pager=FilePager(path))
+        source.register_schema(build_mix_schema())
+        for i in range(5):
+            source.insert(MIX_SCHEMA, MIX_CLASS, {
+                "name": f"r{i}", "size": i,
+                "location": Point(i * 10.0, 1.0)})
+        MetadataCatalog(source).save_all_schemas()
+        source.buffer.flush()
+        source.pager.close()
+
+        reopened = GeographicDatabase("mix", pager=FilePager(path))
+        reopened.register_schema(
+            MetadataCatalog(reopened).load_schema(MIX_SCHEMA))
+        engine = QueryEngine(reopened)
+        text = "select * from Feature where size >= 0"
+        try:
+            before = engine.execute(MIX_SCHEMA, parse_query(text))
+            assert before.oids() == []
+            assert before.report["plans"][0]["columns"] is True
+            assert reopened.class_version(MIX_SCHEMA, MIX_CLASS) == 0
+            assert reopened.load_from_storage() == 5
+            after = engine.execute(MIX_SCHEMA, parse_query(text))
+            assert len(after.oids()) == 5
+            assert after.report["plans"][0]["columns"] is True
+        finally:
+            reopened.pager.close()
+
     def test_status_shape(self, db):
         engine = QueryEngine(db)
         engine.execute(SCHEMA, parse_query(QUERIES[0]))
@@ -226,19 +260,24 @@ class TestSeqlockFallback:
 
 
 class TestConcurrentCommitScan:
-    """Scans racing a stream of commits stay on the column path.
+    """Scans racing a stream of commits never read a resizing extent.
 
-    Regression: a build that met an applying commit used to give up,
-    and the engine then refined the live extent with nothing guarding
-    it — ``RuntimeError: dictionary changed size during iteration``
-    within a fraction of a second, and most scans left the column path.
+    Regression: a column build that met an applying commit used to give
+    up, and the engine then refined the live extent with nothing
+    guarding it — ``RuntimeError: dictionary changed size during
+    iteration`` within a fraction of a second, and most scans left the
+    column path. The row path's full scan and the scenario view iterated
+    the live extent the same way; all three now snapshot it under the
+    seqlock.
     """
 
-    def test_scans_stay_columnar_while_inserts_commit(self, db):
-        text = "select * from Pole where install_year > 1980"
+    TEXT = "select * from Pole where install_year > 1980"
+
+    def _race(self, db, scan, readers=2):
+        """Run ``scan()`` on ``readers`` threads while 300 one-row Pole
+        inserts commit; returns the errors raised anywhere."""
         done = threading.Event()
         errors: list[Exception] = []
-        plans: list[dict] = []
 
         def writer():
             try:
@@ -254,34 +293,60 @@ class TestConcurrentCommitScan:
             finally:
                 done.set()
 
-        def reader(kernel):
+        def reader():
             try:
                 while not done.is_set():
-                    result = kernel.query(SCHEMA, text, use_cache=False)
-                    plans.extend(result.report["plans"])
+                    scan()
             except Exception as exc:         # reported below
                 errors.append(exc)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            with GISKernel(db) as kernel:
-                threads = [threading.Thread(target=writer)] + [
-                    threading.Thread(target=reader, args=(kernel,))
-                    for __ in range(2)]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join(60)
-                assert not any(thread.is_alive() for thread in threads)
-                final = kernel.query(SCHEMA, text, use_cache=False)
+            threads = [threading.Thread(target=writer)] + [
+                threading.Thread(target=reader) for __ in range(readers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+            assert not any(thread.is_alive() for thread in threads)
         finally:
             sys.setswitchinterval(interval)
+        return errors
+
+    def _assert_reference(self, db, result):
+        expected, __ = reference.evaluate(db, SCHEMA, parse_query(self.TEXT))
+        assert sorted(result.oids()) == sorted(obj.oid for obj in expected)
+
+    def test_scans_stay_columnar_while_inserts_commit(self, db):
+        plans: list[dict] = []
+        with GISKernel(db) as kernel:
+            def scan():
+                result = kernel.query(SCHEMA, self.TEXT, use_cache=False)
+                plans.extend(result.report["plans"])
+
+            errors = self._race(db, scan)
+            final = kernel.query(SCHEMA, self.TEXT, use_cache=False)
         assert errors == []
         assert plans and all(plan["columns"] is True for plan in plans)
-        expected, __ = reference.evaluate(db, SCHEMA, parse_query(text))
-        assert sorted(final.oids()) == sorted(obj.oid for obj in expected)
+        self._assert_reference(db, final)
         assert final.report["plans"][0]["columns"] is True
+
+    def test_row_scans_survive_inserts(self, db):
+        engine = QueryEngine(db, use_columns=False)
+        errors = self._race(
+            db, lambda: engine.execute(SCHEMA, parse_query(self.TEXT)))
+        assert errors == []
+        final = engine.execute(SCHEMA, parse_query(self.TEXT))
+        assert final.report["plans"][0]["columns"] is False
+        self._assert_reference(db, final)
+
+    def test_scenario_scans_survive_inserts(self, db):
+        errors = self._race(db, lambda: db.scenario(SCHEMA).execute(
+            parse_query(self.TEXT)))
+        assert errors == []
+        self._assert_reference(
+            db, db.scenario(SCHEMA).execute(parse_query(self.TEXT)))
 
 
 class TestMVCCRouting:
@@ -365,7 +430,7 @@ class TestHashScanParity:
 
 
 class TestResultAndStatsBatching:
-    """The two perf satellites: cached oids(), batched snapshots."""
+    """Cached oids(), shared by every view of one result."""
 
     def test_oids_computed_once(self, db):
         result = QueryEngine(db).execute(SCHEMA, parse_query(QUERIES[0]))
@@ -375,14 +440,6 @@ class TestResultAndStatsBatching:
         result = QueryEngine(db).execute(SCHEMA, parse_query(QUERIES[0]))
         oids = result.oids()
         assert result.with_report(cache="hit").oids() is oids
-
-    def test_snapshot_matches_per_class_describes(self, db):
-        stats = db.statistics
-        snap = stats.snapshot(SCHEMA)
-        stats.invalidate()
-        for class_name, described in snap[SCHEMA].items():
-            assert described == stats.for_class(
-                SCHEMA, class_name).describe()
 
 
 class TestBulkLoadedRebuild:

@@ -6,7 +6,6 @@ from repro.core import GISKernel, QueryResultCache
 from repro.geodb import (GeographicDatabase, MemoryPager, Query, QueryEngine,
                          WriteAheadLog, parse_query, run_query)
 from repro.geodb.query import SpatialPredicate
-from repro.geodb.catalog import KIND_STATISTICS, MetadataCatalog
 from repro.geodb.planner import (
     FULL_SCAN,
     HASH_SCAN,
@@ -123,17 +122,7 @@ class TestPlanDecisions:
         assert "not spatial here" in by_class["Duct"]["reason"]
 
 
-class TestStatistics:
-    def test_snapshot_cached_until_commit(self, phone_db):
-        stats = phone_db.statistics
-        first = stats.for_class("phone_net", "Pole")
-        assert stats.for_class("phone_net", "Pole") is first
-        phone_db.insert("phone_net", "Pole",
-                        {"pole_location": Point(2, 2), "pole_type": 1})
-        second = stats.for_class("phone_net", "Pole")
-        assert second is not first
-        assert second.cardinality == first.cardinality + 1
-
+class TestPlannerInputs:
     def test_commit_bumps_only_touched_class_versions(self, phone_db):
         before = phone_db.class_version("phone_net", "Duct")
         phone_db.insert("phone_net", "Pole",
@@ -151,15 +140,6 @@ class TestStatistics:
         assert _overlap_ratio(BBox(0, 0, 50, 100), line) == 1.0
         assert _overlap_ratio(BBox(20, 0, 50, 100), line) == 0.0
 
-    def test_statistics_persist_roundtrip(self, phone_db):
-        catalog = MetadataCatalog(phone_db)
-        catalog.save_statistics("phone_net")
-        stored = catalog.load_statistics("phone_net")
-        assert catalog.has(KIND_STATISTICS, "phone_net")
-        assert stored["Pole"]["cardinality"] == phone_db.count("phone_net",
-                                                               "Pole")
-        assert "pole_location" in stored["Pole"]["spatial"]
-
     def test_planner_closure_order_is_deterministic(self, phone_db):
         planner = QueryPlanner(phone_db)
         query = parse_query(
@@ -170,11 +150,11 @@ class TestStatistics:
 
 
 class TestStatisticsAfterRecovery:
-    """Regression: planner statistics must not survive ``recover()`` stale.
+    """Regression: a plan's row estimate must not survive ``recover()``.
 
-    Replay bumps the commit version of every class it touches, and the
-    statistics cache keys on that version, so a plan computed before
-    recovery can never be reused after it.
+    The planner reads the extent length at plan time, so a plan made
+    after replay counts the recovered rows, and replay still bumps the
+    commit version of every class it touches for the caches keyed on it.
     """
 
     def _crashed_pagers(self):
@@ -195,18 +175,16 @@ class TestStatisticsAfterRecovery:
         db.register_schema(build_mix_schema())
         db.load_from_storage()
         db.attach_wal(WriteAheadLog(wal_pager, sync_mode="none"))
-        # warm the planner's view of the (still empty) pre-recovery world
-        stale = db.statistics.for_class(MIX_SCHEMA, MIX_CLASS)
-        assert stale.cardinality == 0
+        text = "select count(*) from Feature"
+        # plan against the (still empty) pre-recovery world
+        stale = run_query(db, MIX_SCHEMA, text)
+        assert stale.report["plans"][0]["est_rows"] == 0
         version_before = db.class_version(MIX_SCHEMA, MIX_CLASS)
         db.recover()
         assert db.class_version(MIX_SCHEMA, MIX_CLASS) > version_before
-        fresh = db.statistics.for_class(MIX_SCHEMA, MIX_CLASS)
-        assert fresh is not stale
-        assert fresh.cardinality == 6
-        # and a plan built now sees the recovered rows
-        result = run_query(db, MIX_SCHEMA,
-                           "select count(*) from Feature")
+        # a plan built now sees the recovered rows
+        result = run_query(db, MIX_SCHEMA, text)
+        assert result.report["plans"][0]["est_rows"] == 6
         assert result.rows[0]["count(*)"] == 6
 
 
