@@ -22,6 +22,10 @@ dominate:
   invalidation pays the column build. Gate: first scan (build
   included) <= 2x one row scan, so the build amortizes within two
   scans.
+* **post-commit scan** — columns warm, one transaction updates one
+  pole, then the next columnar scan runs. Gate: <= 2x a warm scan,
+  because the commit patched the class's column set instead of leaving
+  a whole-class rebuild to the scan.
 * **STR bulk load** — packing an R-tree from the extent's entries
   versus the per-entry insert loop. Gate: bulk load is not slower.
 
@@ -33,7 +37,7 @@ between 6.9x and 13.5x back to back). Quick mode
 database and round counts and only prints its results; at smoke sizes
 per-query fixed overhead dilutes the kernel advantage and timings are
 noise-bound, so quick mode relaxes the mix gate to "no slower than the
-row path" and skips the amortization and bulk-load gates.
+row path" and skips the amortization, post-commit and bulk-load gates.
 Byte-identity holds in both modes.
 """
 
@@ -158,6 +162,36 @@ def bench_amortization(db) -> dict[str, float]:
     return {"row_scan": row_scan, "first_scan": first, "warm_scan": warm}
 
 
+def bench_post_commit(db) -> dict[str, float]:
+    """Cost of the first columnar scan after a one-row commit.
+
+    Each round warms the columns, times a warm scan, commits a one-pole
+    status update and times the next scan. The commit patches the Pole
+    column set, so that scan must stay within 2x of the warm one.
+    """
+    query = parse_query(AMORTIZE)
+    columns = QueryEngine(db)
+    victim = db.extent(SCHEMA, "Pole").oids()[0]
+    original = db.get_object(victim).get("status")
+    warm = post = commit = float("inf")
+    # an even number of rounds leaves the victim's status as it was
+    for i in range(ROUNDS + 1):
+        columns.execute(SCHEMA, query)
+        start = time.perf_counter()
+        columns.execute(SCHEMA, query)
+        warm = min(warm, time.perf_counter() - start)
+        start = time.perf_counter()
+        with db.transaction() as txn:
+            txn.update(victim, {"status": "leaning" if i % 2 == 0
+                                else original})
+        commit = min(commit, time.perf_counter() - start)
+        start = time.perf_counter()
+        columns.execute(SCHEMA, query)
+        post = min(post, time.perf_counter() - start)
+    return {"post_commit_warm_scan": warm, "post_commit_scan": post,
+            "one_row_commit": commit}
+
+
 def bench_bulk_load(db) -> dict[str, float]:
     """STR-packing an R-tree vs growing it with per-entry inserts."""
     entries = [(obj.geometry("pole_location").bbox(), obj.oid)
@@ -195,15 +229,18 @@ def measure(db) -> dict[str, float]:
     """One whole measurement: every timing and the four ratios."""
     mix = bench_cold_mix(db)
     amortize = bench_amortization(db)
+    post_commit = bench_post_commit(db)
     bulk = bench_bulk_load(db)
     return {
         "rows_s": mix["rows"], "columns_s": mix["columns"],
-        **amortize,
+        **amortize, **post_commit,
         "entries": bulk["entries"], "insert_s": bulk["insert_s"],
         "bulk_s": bulk["bulk_s"],
         "mix_speedup": mix["rows"] / mix["columns"],
         "first_ratio": amortize["first_scan"] / amortize["row_scan"],
         "warm_speedup": amortize["row_scan"] / amortize["warm_scan"],
+        "post_commit_ratio": (post_commit["post_commit_scan"]
+                              / post_commit["post_commit_warm_scan"]),
         "bulk_speedup": bulk["insert_s"] / bulk["bulk_s"],
     }
 
@@ -218,10 +255,11 @@ def test_c16_columnar(capsys):
            for key in runs[0]}
     spread = {key: median_iqr([run[key] for run in runs])
               for key in ("mix_speedup", "first_ratio", "warm_speedup",
-                          "bulk_speedup")}
+                          "post_commit_ratio", "bulk_speedup")}
     mix_speedup = med["mix_speedup"]
     first_ratio = med["first_ratio"]
     bulk_speedup = med["bulk_speedup"]
+    post_commit_ratio = med["post_commit_ratio"]
 
     rows = [
         [f"cold mix ({len(MIX)} queries)", f"{med['rows_s'] * 1e3:.2f}ms",
@@ -232,6 +270,10 @@ def test_c16_columnar(capsys):
         ["warm scan", f"{med['row_scan'] * 1e6:.1f}us",
          f"{med['warm_scan'] * 1e6:.1f}us",
          f"{med['warm_speedup']:.2f}x faster"],
+        ["scan after a one-row commit", "-",
+         f"{med['post_commit_scan'] * 1e6:.1f}us",
+         f"{post_commit_ratio:.2f}x of a warm scan "
+         f"({med['post_commit_warm_scan'] * 1e6:.1f}us)"],
         [f"rtree build ({int(med['entries'])} entries)",
          f"{med['insert_s'] * 1e3:.2f}ms", f"{med['bulk_s'] * 1e3:.2f}ms",
          f"{bulk_speedup:.2f}x faster"],
@@ -249,6 +291,10 @@ def test_c16_columnar(capsys):
                          "warm_scan_s": med["warm_scan"],
                          "first_ratio_vs_row": spread["first_ratio"],
                          "warm_speedup": spread["warm_speedup"]},
+        "post_commit": {"warm_scan_s": med["post_commit_warm_scan"],
+                        "post_commit_scan_s": med["post_commit_scan"],
+                        "one_row_commit_s": med["one_row_commit"],
+                        "ratio_vs_warm": spread["post_commit_ratio"]},
         "bulk_load": {"entries": int(med["entries"]),
                       "insert_s": med["insert_s"],
                       "bulk_s": med["bulk_s"],
@@ -256,6 +302,7 @@ def test_c16_columnar(capsys):
         "gates": {"judged_on": "median",
                   "cold_mix_speedup_min": 3.0,
                   "first_scan_ratio_max": 2.0,
+                  "post_commit_ratio_max": 2.0,
                   "bulk_load_speedup_min": 1.0},
     }
     recorded = record_results("BENCH_C16.json", payload, QUICK)
@@ -287,6 +334,11 @@ def test_c16_columnar(capsys):
         assert first_ratio <= 2.0, (
             f"first columnar scan median {first_ratio:.2f}x of a row scan "
             f"(gate: 2x — the build must amortize within two scans)"
+        )
+        assert post_commit_ratio <= 2.0, (
+            f"scan after a one-row commit median {post_commit_ratio:.2f}x "
+            f"of a warm scan (gate: 2x — the commit must patch the "
+            f"column set, not leave a rebuild to the scan)"
         )
         assert bulk_speedup >= 1.0, (
             f"STR bulk load median {bulk_speedup:.2f}x of the insert loop "

@@ -18,11 +18,17 @@ into any object until the surviving rows are known.
 
 Freshness is judged by the class commit version alone, the one key
 every piece of derived state uses: a column set is stamped with
-:meth:`~repro.geodb.database.GeographicDatabase.class_version` at build
-time and is discarded the moment it moves — live commits, crash-recovery
-replay and replicated batches all bump it through ``_apply_batch``. The
-two paths that move an extent without a commit, ``load_from_storage``
-and ``resync``, drop the whole cache instead.
+:meth:`~repro.geodb.database.GeographicDatabase.class_version` and
+answers only while the stamp matches. Sets are **patched, not
+discarded**: live commits, crash-recovery replay and replicated batches
+all pass through ``_apply_batch``, which hands each batch to
+:meth:`ColumnCache.advance`. Every cached set stamped with a touched
+class's pre-batch version is replaced by a copy-on-write successor at
+the new version that re-resolves only the rows the batch wrote
+(:meth:`ClassColumns.advance`). A whole-class build happens only on a
+class's first use, for a set that missed a batch, and after the two
+paths that move an extent without a commit, ``load_from_storage`` and
+``resync``, which drop the whole cache.
 
 Building snapshots the extent as a seqlock-validated read
 (:meth:`~repro.geodb.database.GeographicDatabase._read_stable`, the same
@@ -40,11 +46,48 @@ have scanned.
 
 from __future__ import annotations
 
+import threading
+from operator import attrgetter
 from typing import Any
 
 from ..spatial.geometry import Geometry
 from .query import compile_path
 from .schema import GeoClass
+
+
+def _packed_bbox(geom) -> tuple | None:
+    """A geometry's bounds as ``(min_x, min_y, max_x, max_y)``, else None."""
+    if not isinstance(geom, Geometry):
+        return None
+    box = geom.bbox()
+    return (box.min_x, box.min_y, box.max_x, box.max_y)
+
+
+def _patched(column: list, updated: list, removed: list,
+             appended: list, resolve) -> list:
+    """A copy of ``column`` past one batch, or ``column`` itself.
+
+    ``updated`` holds ``(row, obj)`` pairs to re-resolve in place,
+    ``removed`` row positions in descending order, ``appended`` new
+    objects. Without removals or appends the column is shared when
+    every re-resolved value is the very object it already holds.
+    """
+    if not (removed or appended):
+        changed = [(row, value) for row, obj in updated
+                   if (value := resolve(obj)) is not column[row]]
+        if not changed:
+            return column
+        column = list(column)
+        for row, value in changed:
+            column[row] = value
+        return column
+    column = list(column)
+    for row, obj in updated:
+        column[row] = resolve(obj)
+    for row in removed:
+        del column[row]
+    column.extend(map(resolve, appended))
+    return column
 
 
 class ClassColumns:
@@ -57,6 +100,10 @@ class ClassColumns:
     *query class* too, because path resolution applies the query class's
     attribute defaults to every closure member (exactly like
     :meth:`~repro.geodb.query.Predicate.matches`).
+
+    A set is never mutated once another thread can hold it, apart from
+    adding lazy columns and the lazy ``oid -> row`` map: a commit
+    replaces it with a successor (:meth:`advance`).
     """
 
     __slots__ = ("schema_name", "class_name", "version", "cardinality",
@@ -72,8 +119,8 @@ class ClassColumns:
         #: the oid column, aligned with ``objects``
         self.oids = [obj.oid for obj in objects]
         self._row_of: dict[str, int] | None = None
-        #: (path, query class name) -> value column
-        self._paths: dict[tuple[str, str], list] = {}
+        #: (path, query class name) -> (accessor, value column)
+        self._paths: dict[tuple[str, str], tuple[Any, list]] = {}
         #: geometry attr -> (value column, packed bbox column)
         self._geometry: dict[str, tuple[list, list]] = {}
 
@@ -94,15 +141,16 @@ class ClassColumns:
         compile_path` with ``geo_class``'s defaults, so a position holds
         exactly what :meth:`~repro.geodb.query.Predicate.matches` would
         have compared, with the ``MISSING`` sentinel where it finds no
-        value (unresolvable dotted paths).
+        value (unresolvable dotted paths). The accessor is kept with the
+        column, so a patch re-resolves rows without re-parsing the path.
         """
         key = (path, geo_class.name)
-        column = self._paths.get(key)
-        if column is None:
+        entry = self._paths.get(key)
+        if entry is None:
             accessor = compile_path(path, geo_class)
-            column = [accessor(obj) for obj in self.objects]
-            self._paths[key] = column
-        return column
+            entry = (accessor, [accessor(obj) for obj in self.objects])
+            self._paths[key] = entry
+        return entry[1]
 
     def geometry_column(self, attr: str) -> tuple[list, list]:
         """``(geometry column, packed bbox column)`` for one attribute.
@@ -117,17 +165,80 @@ class ClassColumns:
         cached = self._geometry.get(attr)
         if cached is None:
             geoms = [obj._values.get(attr) for obj in self.objects]
-            boxes: list = []
-            for geom in geoms:
-                if isinstance(geom, Geometry):
-                    box = geom.bbox()
-                    boxes.append((box.min_x, box.min_y,
-                                  box.max_x, box.max_y))
-                else:
-                    boxes.append(None)
-            cached = (geoms, boxes)
+            cached = (geoms, list(map(_packed_bbox, geoms)))
             self._geometry[attr] = cached
         return cached
+
+    def advance(self, version: int, extent,
+                touched: dict[str, bool]) -> "ClassColumns":
+        """The copy-on-write successor of this set past one batch.
+
+        ``touched`` maps every oid the batch wrote in this class to
+        whether the batch deleted it, ordered by each oid's last insert.
+        Only those rows are re-resolved, from their final state in
+        ``extent``: a kept row is updated in place, a new (or deleted
+        and re-inserted) object is appended, as the extent appends it,
+        and a gone row is removed. Materialized columns whose touched
+        values did not change, and the ``oid -> row`` map when no row
+        moved, are shared with this set, which stays unchanged for any
+        reader still holding it.
+        """
+        row_of = self.row_of
+        get = extent.get
+        updated: list[tuple[int, Any]] = []
+        removed: list[int] = []
+        appended: list = []
+        for oid, deleted in touched.items():
+            obj = get(oid)
+            row = row_of.get(oid)
+            if row is not None and obj is not None and not deleted:
+                updated.append((row, obj))
+                continue
+            if row is not None:
+                removed.append(row)
+            if obj is not None:
+                appended.append(obj)
+        removed.sort(reverse=True)
+        successor = ClassColumns.__new__(ClassColumns)
+        successor.schema_name = self.schema_name
+        successor.class_name = self.class_name
+        successor.version = version
+        successor.objects = _patched(self.objects, updated, removed,
+                                     appended, lambda obj: obj)
+        successor.cardinality = len(successor.objects)
+        oids = successor.oids = _patched(self.oids, [], removed, appended,
+                                         attrgetter("oid"))
+        if removed:
+            successor._row_of = {oid: i for i, oid in enumerate(oids)}
+        elif appended:
+            successor._row_of = dict(row_of)
+            successor._row_of.update(
+                (obj.oid, i) for i, obj in enumerate(appended, len(self.oids)))
+        else:
+            successor._row_of = row_of
+        # dict(): readers add lazy columns to this set concurrently
+        successor._paths = {
+            key: (accessor, _patched(column, updated, removed, appended,
+                                     accessor))
+            for key, (accessor, column) in dict(self._paths).items()}
+        geometry = {}
+        for attr, (geoms, boxes) in dict(self._geometry).items():
+            def geom_of(obj, attr=attr):
+                return obj._values.get(attr)
+
+            new_geoms = _patched(geoms, updated, removed, appended, geom_of)
+            if new_geoms is not geoms:
+                # a box is a function of its geometry: without moved
+                # rows, re-pack only the rows whose geometry changed
+                boxes = _patched(
+                    boxes, [(row, obj) for row, obj in updated
+                            if removed or appended
+                            or new_geoms[row] is not geoms[row]],
+                    removed, appended,
+                    lambda obj: _packed_bbox(geom_of(obj)))
+            geometry[attr] = (new_geoms, boxes)
+        successor._geometry = geometry
+        return successor
 
     def column_count(self) -> int:
         """Materialized columns (paths + geometry pairs), for status."""
@@ -148,24 +259,31 @@ class ColumnCache:
     """Per-(schema, class) column sets for one database.
 
     Created lazily by :attr:`~repro.geodb.database.GeographicDatabase.
-    column_cache`; entries refresh themselves on first use after any
-    commit that touches their class (see module docstring).
+    column_cache`. A class's set is built on first use and then patched
+    past every batch that touches the class (see module docstring).
     """
 
     def __init__(self, database):
         self._db = database
         self._cache: dict[tuple[str, str], ClassColumns] = {}
+        #: serializes installs, so no set replaces a newer one
+        self._install_lock = threading.Lock()
         # Counters feed the hit ratios in status() (the kernel status
         # tree's ``database.columns``).
         self.builds = 0
         self.hits = 0
+        #: stale sets rebuilt (they missed a batch)
         self.invalidations = 0
+        #: sets advanced past a committed batch
+        self.patches = 0
+        #: patches that raised; their sets were dropped for a rebuild
+        self.patch_failures = 0
 
     def for_class(self, schema_name: str, class_name: str) -> ClassColumns:
         """A version-fresh column set for one class.
 
         Cached sets are validated against the class commit version; a
-        stale set is rebuilt in place.
+        missing or stale set is rebuilt.
         """
         db = self._db
         key = (schema_name, class_name)
@@ -182,11 +300,62 @@ class ColumnCache:
             lambda: (db.class_version(schema_name, class_name),
                      list(extent)))
         fresh = ClassColumns(schema_name, class_name, version, objects)
-        self._cache[key] = fresh
+        # A slow build must not replace the set a commit patched past it.
+        with self._install_lock:
+            current = self._cache.get(key)
+            if current is None or current.version < version:
+                self._cache[key] = fresh
         self.builds += 1
         if cached is not None:
             self.invalidations += 1
         return fresh
+
+    def advance(self, intents, prev_versions: dict[tuple[str, str], int]
+                ) -> None:
+        """Patch every cached set past one applied batch.
+
+        Called by ``_apply_batch`` under the commit lock, once the
+        seqlock is even again. ``prev_versions`` maps each touched
+        class to its version before the batch; a set stamped with it is
+        replaced by its :meth:`ClassColumns.advance` successor, and a
+        set stamped with anything else missed a batch and is left for
+        :meth:`for_class` to rebuild. A patch that raises is counted in
+        ``patch_failures`` and drops its class's set: the batch is
+        already applied and must not fail.
+        """
+        #: key -> (the set to patch, oid -> deleted by the batch)
+        touched: dict[tuple[str, str], tuple[ClassColumns, dict]] = {}
+        for key, prev in prev_versions.items():
+            cached = self._cache.get(key)
+            if cached is not None and cached.version == prev:
+                touched[key] = (cached, {})
+        if not touched:
+            return
+        for intent in intents:
+            entry = touched.get((intent.schema_name, intent.class_name))
+            if entry is None:
+                continue
+            rows = entry[1]
+            oid = intent.oid
+            if intent.op == "insert":
+                # a (re-)insert lands at the extent's end
+                rows[oid] = rows.pop(oid, False)
+            elif intent.op == "delete":
+                rows[oid] = True
+            else:
+                rows.setdefault(oid, False)
+        db = self._db
+        for key, (cached, rows) in touched.items():
+            try:
+                successor = cached.advance(db.class_version(*key),
+                                           db.extent(*key), rows)
+            except Exception:
+                self.patch_failures += 1
+                self._cache.pop(key, None)
+                continue
+            with self._install_lock:
+                self._cache[key] = successor
+            self.patches += 1
 
     def invalidate(self) -> None:
         """Drop every column set (cold-scan measurements)."""
@@ -205,6 +374,8 @@ class ColumnCache:
                 "builds": self.builds,
                 "hits": self.hits,
                 "invalidations": self.invalidations,
+                "patches": self.patches,
+                "patch_failures": self.patch_failures,
                 "hit_ratio": round(self.hits / lookups, 3) if lookups
                 else None,
             },

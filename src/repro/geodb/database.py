@@ -158,7 +158,7 @@ class GeographicDatabase:
         #: the commit lock); empty list = zero capture overhead
         self._write_set_listeners: list[Callable[[CommitWriteSet], None]] = []
         #: lazily created columnar scan cache (repro.geodb.columns);
-        #: entries self-invalidate on class-version bumps
+        #: _apply_batch patches its entries past every batch
         self._column_cache = None
         #: lazily created tiled raster store (see repro.geodb.raster);
         #: stays None until a raster payload is committed or adopted
@@ -315,7 +315,8 @@ class GeographicDatabase:
         ``0`` for classes never written through the commit path. It is
         the one freshness key of derived state: column sets, the
         kernel's query-result cache and live watches validate against
-        it, so all refresh lazily after any commit touching the class.
+        it. Column sets are patched to the new version by every batch;
+        result-cache entries and watches refresh lazily after it moves.
         Changes outside the commit path drop what they make stale
         (:meth:`load_from_storage` and :meth:`resync` reset the column
         cache).
@@ -1295,10 +1296,14 @@ class GeographicDatabase:
            maps, and re-raises; seeded base versions stay, as they
            equal the restored state;
         4. publish ``commit_ts``, bump the version of every touched
-           class (column sets, the result cache and live watches
-           refresh on it), record one MVCC version per written oid, and
-           capture the :class:`CommitWriteSet` if anyone listens;
-        5. make the seqlock even.
+           class (the result cache and live watches refresh on it),
+           record one MVCC version per written oid, and capture the
+           :class:`CommitWriteSet` if anyone listens;
+        5. make the seqlock even, then patch every cached column set of
+           a touched class past the batch: a copy-on-write successor
+           at the new class version replaces it
+           (:meth:`~repro.geodb.columns.ColumnCache.advance`), so the
+           next scan does not rebuild the class.
 
         Returns ``(write-set or None, ticket)`` for
         :meth:`_publish_commit`.
@@ -1345,6 +1350,8 @@ class GeographicDatabase:
                     [WriteOp(i.op, i.schema_name, i.class_name, i.oid,
                              i.values) for i in intents],
                     prev_versions, session_id)
+        if self._column_cache is not None:
+            self._column_cache.advance(intents, prev_versions)
         return write_set, ticket
 
     def _publish_commit(self, intents: list[_Intent],
@@ -1529,8 +1536,9 @@ class GeographicDatabase:
         undo.append(lambda: self._index_insert(obj))
         self._refs_remove(obj)
         undo.append(lambda: self._refs_add(obj))
+        order = extent.oids()
         extent.remove(intent.oid)
-        undo.append(lambda: extent.add(obj))
+        undo.append(lambda: extent.restore(obj, order))
         del self._locations[intent.oid]
         undo.append(
             lambda: self._locations.__setitem__(intent.oid, location)

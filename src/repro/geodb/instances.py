@@ -174,6 +174,18 @@ class Extent:
             raise SchemaError(f"extent {self.class_name!r} has no object {oid}")
         return self._objects.pop(oid)
 
+    def restore(self, obj: GeoObject, order: list[str]) -> None:
+        """Undo a :meth:`remove`: re-add ``obj`` at its old position.
+
+        ``order`` is :meth:`oids` as it was before the removal. The dict
+        is reordered in place, because transactions alias it.
+        """
+        objects = self._objects
+        objects[obj.oid] = obj
+        by_oid = dict(objects)
+        objects.clear()
+        objects.update((oid, by_oid[oid]) for oid in order)
+
     def get(self, oid: str) -> GeoObject | None:
         return self._objects.get(oid)
 

@@ -20,10 +20,10 @@ The engine evaluates a :class:`repro.geodb.query.Query` against a
 Every selection reaches the shaper as a list of ``(columns, selected
 row positions)`` parts, one per closure class. Full and hash scans
 select **columnar** over the class's version-stamped column snapshot
-(:mod:`repro.geodb.columns`, rebuilt when stale; a build that meets an
-applying commit waits for it): the predicate compiles to a fused column
-kernel (:meth:`~repro.geodb.query.Predicate.compile_columns`) that
-selects row positions without touching a single :class:`GeoObject`.
+(:mod:`repro.geodb.columns`, patched past every commit; a build that
+meets an applying commit waits for it): the predicate compiles to a
+fused column kernel (:meth:`~repro.geodb.query.Predicate.compile_columns`)
+that selects row positions without touching a single :class:`GeoObject`.
 Everything else — index scans (whose candidates come from the R-tree),
 an engine built with ``use_columns=False`` and
 :meth:`QueryEngine.shape_rows` callers — refines object by object with

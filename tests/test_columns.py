@@ -17,8 +17,8 @@ import pytest
 
 from repro import obs
 from repro.core.kernel import GISKernel
-from repro.geodb import (ColumnCache, FilePager, GeographicDatabase,
-                         MetadataCatalog, QueryEngine)
+from repro.geodb import (ClassColumns, ColumnCache, FilePager,
+                         GeographicDatabase, MetadataCatalog, QueryEngine)
 from repro.geodb.query_language import parse_query, run_query
 from repro.spatial import BBox, Point
 from repro.workloads import build_mix_schema, build_phone_net_database
@@ -112,7 +112,9 @@ class TestCacheLifecycle:
         after = engine.execute(
             SCHEMA, parse_query("select * from Pole where status = 'broken'"))
         assert after.oids() == [victim]
-        assert db.column_cache.invalidations == 1
+        # The commit patched the set; the scan did not rebuild it.
+        cache = db.column_cache
+        assert (cache.builds, cache.patches, cache.invalidations) == (1, 1, 0)
 
     def test_insert_and_delete_move_the_stamp(self, db):
         engine = QueryEngine(db)
@@ -254,9 +256,123 @@ class TestSeqlockFallback:
             txn.update(victim, {"status": "ok"})
         engine.execute(SCHEMA, parse_query(QUERIES[0]))
         summary = db.column_cache.status()["summary"]
-        assert summary["builds"] == 2
-        assert summary["hits"] == 1
-        assert summary["invalidations"] == 1
+        assert summary["builds"] == 1
+        assert summary["hits"] == 2
+        assert summary["patches"] == 1
+        assert summary["invalidations"] == 0
+        assert_equivalent(db, QUERIES[0])
+
+
+class TestCopyOnWritePatch:
+    """Commits replace a column set with a patched successor and never
+    touch the set a reader already holds."""
+
+    def test_held_set_unchanged_after_commits(self, db):
+        engine = QueryEngine(db)
+        engine.execute(SCHEMA, parse_query(QUERIES[0]))
+        engine.execute(SCHEMA, parse_query(QUERIES[8]))   # geometry
+        held = db.column_cache.for_class(SCHEMA, "Pole")
+        row_of = held.row_of
+        before = (held.version, list(held.objects), list(held.oids),
+                  dict(row_of),
+                  {key: list(column)
+                   for key, (__, column) in held._paths.items()},
+                  {attr: (list(geoms), list(boxes))
+                   for attr, (geoms, boxes) in held._geometry.items()})
+        oids = db.extent(SCHEMA, "Pole").oids()
+        inserted = []          # poles no cable references, to delete
+        for i in range(10):
+            with db.transaction() as txn:
+                txn.update(oids[i], {"status": "broken",
+                                     "pole_location": Point(i, i)})
+                if i % 2 == 0:
+                    inserted.append(txn.insert(SCHEMA, "Pole", {
+                        "pole_type": 1, "status": "new",
+                        "install_year": 2000 + i,
+                        "pole_location": Point(1.0, float(i))}))
+                elif i % 3 == 0:
+                    txn.delete(inserted.pop(0))
+        after = (held.version, held.objects, held.oids, held.row_of,
+                 {key: column for key, (__, column) in held._paths.items()},
+                 {attr: (geoms, boxes)
+                  for attr, (geoms, boxes) in held._geometry.items()})
+        assert after == before
+        assert held.row_of is row_of
+        current = db.column_cache.for_class(SCHEMA, "Pole")
+        assert current is not held
+        assert current.version == db.class_version(SCHEMA, "Pole")
+        assert db.column_cache.patches == 10
+        assert db.column_cache.builds == 1
+        for text in QUERIES:
+            assert_equivalent(db, text)
+
+    def test_lazy_columns_race_commits(self, db, monkeypatch):
+        """A thread adding lazy path columns to the current set while
+        another commits: no commit raises, no patch fails (a failed
+        patch would silently drop the set), and the final set is
+        fresh."""
+        patch_errors: list[Exception] = []
+        real_advance = ClassColumns.advance
+
+        def recording_advance(self, *args):
+            try:
+                return real_advance(self, *args)
+            except Exception as exc:         # reported below
+                patch_errors.append(exc)
+                raise
+
+        monkeypatch.setattr(ClassColumns, "advance", recording_advance)
+        cache = db.column_cache
+        pole = db.get_schema_object(SCHEMA).get_class("Pole")
+        cache.for_class(SCHEMA, "Pole").path_column("status", pole)
+        oids = db.extent(SCHEMA, "Pole").oids()
+        done = threading.Event()
+        errors: list[Exception] = []
+
+        def writer():
+            try:
+                for i in range(150):
+                    with db.transaction() as txn:
+                        txn.update(oids[i % len(oids)],
+                                   {"install_year": 1900 + i})
+                        if i % 5 == 0:
+                            txn.insert(SCHEMA, "Pole", {
+                                "pole_type": 2, "status": "new",
+                                "install_year": 1990,
+                                "pole_location": Point(float(i), 2.0)})
+            except Exception as exc:         # reported below
+                errors.append(exc)
+            finally:
+                done.set()
+
+        def lazy_columns():
+            i = 0
+            try:
+                while not done.is_set():
+                    columns = cache.for_class(SCHEMA, "Pole")
+                    # a new key every round: unknown paths resolve to None
+                    columns.path_column(f"probe_{i}", pole)
+                    columns.geometry_column("pole_location")
+                    i += 1
+            except Exception as exc:         # reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=writer),
+                       threading.Thread(target=lazy_columns)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == [] and patch_errors == []
+        assert cache.patches > 0
+        for text in QUERIES:
+            assert_equivalent(db, text)
 
 
 class TestConcurrentCommitScan:

@@ -11,15 +11,26 @@ an independent reference evaluator (``tests/_reference.py``) — among
 them a mixed closure, where a test-local subclass holds every other
 row, so the sort, the top-k and the float ``sum``/``avg`` merge two
 parts.
+
+A second invariant covers what a commit does to warm columns: every
+batch patches each cached set instead of discarding it, and the patched
+set must equal a fresh build field by field, whichever path applied the
+batch (local commit, replicated batch, WAL recovery replay) and whether
+the commit succeeded, was refused or rolled back.
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.geodb import (FLOAT, Attribute, GeoClass, GeographicDatabase,
-                         MemoryPager, QueryEngine)
+from repro.errors import ObjectNotFoundError, TransactionError, WALError
+from repro.geodb import (FLOAT, INTEGER, TEXT, Attribute, ClassColumns,
+                         GeoClass, GeographicDatabase,
+                         LocalReplicationSource, MemoryPager, QueryEngine,
+                         ReferenceType, TupleType, WriteAheadLog)
+from repro.geodb import columns as columns_module
 from repro.geodb.query_language import parse_query
 from repro.spatial import Point
 from repro.workloads import build_mix_schema
@@ -202,3 +213,286 @@ def test_commit_invalidation_never_stale(rows, text, new_size, deletes):
     visible = QueryEngine(db).execute(
         MIX_SCHEMA, parse_query("select * from Feature where name = 'fresh'"))
     assert len(visible.objects) == 1
+
+
+# ---------------------------------------------------------------------------
+# delta == fresh: column sets patched past every batch
+# ---------------------------------------------------------------------------
+
+ORACLE_CLASSES = (MIX_CLASS, SUBCLASS)
+
+#: (path, query class) columns warmed on every set; ``size`` keyed by
+#: the superclass is the key a closure query puts on the subclass set
+WARM_PATHS = [("name", MIX_CLASS), ("size", MIX_CLASS),
+              ("spec.grade", MIX_CLASS), ("size", SUBCLASS)]
+
+#: a ``parent`` pick that names no object: the commit fails integrity
+GHOST = 9
+
+
+def oracle_schema():
+    """:func:`build_schema` plus a tuple (dotted paths) and a reference
+    (referential integrity) attribute."""
+    schema = build_schema()
+    feature = schema.get_class(MIX_CLASS)
+    feature.add_attribute(Attribute(
+        "spec", TupleType({"grade": TEXT, "span": INTEGER})))
+    feature.add_attribute(Attribute("parent", ReferenceType(MIX_CLASS)))
+    return schema
+
+
+def warm(db) -> None:
+    """Build both classes' sets with every :data:`WARM_PATHS` column, the
+    location geometry/bbox columns and the ``oid -> row`` map."""
+    schema = db.get_schema_object(MIX_SCHEMA)
+    for class_name in ORACLE_CLASSES:
+        columns = db.column_cache.for_class(MIX_SCHEMA, class_name)
+        for path, query_class in WARM_PATHS:
+            if query_class in (MIX_CLASS, class_name):
+                columns.path_column(path, schema.get_class(query_class))
+        columns.geometry_column("location")
+        assert columns.row_of is not None
+
+
+def typed(column) -> list:
+    return [(type(value), value) for value in column]
+
+
+def assert_patched_equals_fresh(db) -> None:
+    """Each cached set is the one a fresh build would make, field by
+    field, and still holds every warmed column."""
+    schema = db.get_schema_object(MIX_SCHEMA)
+    for class_name in ORACLE_CLASSES:
+        key = (MIX_SCHEMA, class_name)
+        cached = db.column_cache._cache.get(key)
+        assert cached is not None, f"{class_name}: set dropped"
+        fresh = ClassColumns(MIX_SCHEMA, class_name,
+                             db.class_version(*key),
+                             list(db.extent(*key)))
+        assert cached.version == fresh.version
+        assert cached.cardinality == fresh.cardinality
+        assert cached.oids == fresh.oids
+        assert len(cached.objects) == len(fresh.objects)
+        assert all(a is b for a, b in zip(cached.objects, fresh.objects))
+        assert cached.row_of == fresh.row_of
+        assert {(path, query_class) for path, query_class in WARM_PATHS
+                if query_class in (MIX_CLASS, class_name)} <= set(
+                    cached._paths)
+        for (path, query_class), (__, column) in cached._paths.items():
+            expected = fresh.path_column(path, schema.get_class(query_class))
+            assert typed(column) == typed(expected), (class_name, path)
+        assert set(cached._geometry) == {"location"}
+        geoms, boxes = cached._geometry["location"]
+        fresh_geoms, fresh_boxes = fresh.geometry_column("location")
+        assert len(geoms) == len(fresh_geoms)
+        assert all(a is b for a, b in zip(geoms, fresh_geoms))
+        assert boxes == fresh_boxes
+
+
+names = st.sampled_from(["ash", "beech", "cedar"])
+oracle_values = st.fixed_dictionaries(
+    {"name": names},
+    optional={"size": st.one_of(st.none(), st.integers(-5, 5)),
+              "location": st.builds(Point, st.integers(0, 9).map(float),
+                                    st.integers(0, 9).map(float)),
+              "spec": st.fixed_dictionaries(
+                  {"grade": names, "span": st.integers(0, 3)}),
+              "parent": st.integers(0, GHOST)})
+oracle_changes = st.fixed_dictionaries(
+    {},
+    optional={"name": names,
+              "size": st.one_of(st.none(), st.integers(-5, 5)),
+              "location": st.one_of(st.none(), st.builds(
+                  Point, st.integers(0, 9).map(float),
+                  st.integers(0, 9).map(float))),
+              "spec": st.one_of(st.none(), st.fixed_dictionaries(
+                  {"grade": names, "span": st.integers(0, 3)})),
+              "parent": st.one_of(st.none(), st.integers(0, GHOST))}
+).filter(bool)
+#: one staged step; picks index the live oids modulo their count
+oracle_ops = st.one_of(
+    st.tuples(st.just("insert"), st.booleans(), oracle_values),
+    st.tuples(st.just("update"), st.integers(0, 40), oracle_changes),
+    st.tuples(st.just("delete"), st.integers(0, 40)),
+    st.tuples(st.just("insert_update"), st.booleans(), oracle_values,
+              oracle_changes),
+    st.tuples(st.just("update_delete"), st.integers(0, 40),
+              oracle_changes),
+    st.tuples(st.just("delete_reinsert"), st.integers(0, 40),
+              st.booleans(), oracle_values),
+)
+#: ("commit" | "log_failure", ops): a log failure runs the undo journal
+oracle_batches = st.lists(
+    st.tuples(st.sampled_from(["commit", "commit", "log_failure"]),
+              st.lists(oracle_ops, min_size=1, max_size=4)),
+    min_size=1, max_size=6)
+
+
+def _resolve(values: dict, live: list) -> dict:
+    """Turn a drawn ``parent`` pick into an oid (or a missing one)."""
+    values = dict(values)
+    if values.get("parent") is not None:
+        pick = values["parent"]
+        values["parent"] = (f"{MIX_CLASS}#ghost" if pick == GHOST or not live
+                            else live[pick % len(live)])
+    return values
+
+
+def _stage(txn, op, live: list) -> None:
+    kind = op[0]
+    if kind in ("insert", "insert_update"):
+        class_name = SUBCLASS if op[1] else MIX_CLASS
+        values = {k: v for k, v in _resolve(op[2], live).items()
+                  if v is not None}
+        oid = txn.insert(MIX_SCHEMA, class_name, values)
+        if kind == "insert_update":
+            txn.update(oid, _resolve(op[3], live))
+        return
+    if not live:
+        return
+    oid = live[op[1] % len(live)]
+    if kind == "update":
+        txn.update(oid, _resolve(op[2], live))
+    elif kind == "delete":
+        txn.delete(oid)
+    elif kind == "update_delete":
+        txn.update(oid, _resolve(op[2], live))
+        txn.delete(oid)
+    else:
+        # delete, then insert the same oid again, maybe in the other
+        # class: the row moves to the end of the extent it lands in
+        txn.delete(oid)
+        values = {k: v for k, v in _resolve(op[3], live).items()
+                  if v is not None}
+        txn.insert(MIX_SCHEMA, SUBCLASS if op[2] else MIX_CLASS, values,
+                   oid=oid)
+
+
+def apply_schedule(leader, follower, schedule) -> None:
+    """Run ``schedule`` on the leader, then ship each batch to the
+    follower; both caches must equal fresh builds after every batch."""
+    for route, ops in schedule:
+        live = [oid for class_name in ORACLE_CLASSES
+                for oid in leader.extent(MIX_SCHEMA, class_name).oids()]
+        txn = leader.transaction()
+        for op in ops:
+            try:
+                _stage(txn, op, live)
+            except (ObjectNotFoundError, TransactionError):
+                pass        # a pick the batch already deleted
+        if route == "log_failure":
+            def failing_barrier(*args, **kwargs):
+                raise WALError("injected log failure")
+            leader.wal.log_commit = failing_barrier
+        try:
+            txn.commit()
+        except (TransactionError, WALError):
+            pass            # refused by integrity, or rolled back
+        finally:
+            leader.wal.__dict__.pop("log_commit", None)
+        assert_patched_equals_fresh(leader)
+        follower.poll_replication()
+        assert_patched_equals_fresh(follower)
+
+
+def make_leader(heap, log):
+    leader = GeographicDatabase("oracle", pager=heap, buffer_capacity=8)
+    leader.register_schema(oracle_schema())
+    # inline barriers: the commit record goes through ``log_commit``
+    leader.attach_wal(WriteAheadLog(log, sync_mode="none",
+                                    group_commit=False))
+    return leader
+
+
+def check_schedule(schedule) -> None:
+    """The whole delta==fresh check: leader, follower, then a restart
+    that replays the leader's log over warm columns."""
+    heap, log = MemoryPager(), MemoryPager()
+    leader = make_leader(heap, log)
+    with leader.transaction() as txn:
+        for i in range(6):
+            txn.insert(MIX_SCHEMA, ORACLE_CLASSES[i % 2], {
+                "name": ["ash", "beech", "cedar"][i % 3], "size": i,
+                "location": Point(float(i), 1.0)})
+    follower = GeographicDatabase.follow(LocalReplicationSource(leader))
+    warm(leader)
+    warm(follower)
+    builds = (leader.column_cache.builds, follower.column_cache.builds)
+    apply_schedule(leader, follower, schedule)
+    assert (leader.column_cache.builds, follower.column_cache.builds) \
+        == builds      # patched every time, never rebuilt
+
+    # Restart over the leader's pages: replay patches the warm sets.
+    recovered = GeographicDatabase("oracle", pager=heap, buffer_capacity=8)
+    recovered.register_schema(oracle_schema())
+    recovered.load_from_storage()
+    warm(recovered)
+    replay = recovered._replay_batch
+
+    def checked_replay(records, commit_ts):
+        out = replay(records, commit_ts)
+        assert_patched_equals_fresh(recovered)
+        return out
+
+    recovered._replay_batch = checked_replay
+    recovered.attach_wal(WriteAheadLog(log, sync_mode="none"))
+    recovered.recover()
+    for class_name in ORACLE_CLASSES:
+        assert {obj.oid: obj.values()
+                for obj in recovered.extent(MIX_SCHEMA, class_name)} == \
+            {obj.oid: obj.values()
+             for obj in leader.extent(MIX_SCHEMA, class_name)}
+
+
+#: every route once: several inserts, insert+update, update+delete, a
+#: cross-class delete+re-insert, a rolled-back delete, a refused commit
+FIXED_SCHEDULE = [
+    ("commit", [("insert", False, {"name": "ash", "size": 1}),
+                ("insert", True, {"name": "beech",
+                                  "location": Point(2.0, 2.0)}),
+                ("insert_update", False, {"name": "cedar"},
+                 {"size": 3, "spec": {"grade": "ash", "span": 1}})]),
+    ("commit", [("update", 1, {"location": Point(5.0, 5.0), "size": 4}),
+                ("update_delete", 2, {"name": "beech"})]),
+    ("commit", [("delete_reinsert", 3, True, {"name": "ash", "size": 2})]),
+    ("log_failure", [("delete", 0), ("update", 4, {"size": -1})]),
+    ("commit", [("update", 0, {"parent": GHOST})]),
+    ("commit", [("delete", 5), ("update", 6, {"location": None})]),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(schedule=oracle_batches)
+@example(schedule=FIXED_SCHEDULE)
+def test_patched_columns_equal_fresh_build(schedule):
+    check_schedule(schedule)
+
+
+def _skip_bbox_patch(real_advance):
+    def advance(self, version, extent, touched):
+        successor = real_advance(self, version, extent, touched)
+        successor._geometry = {
+            attr: (geoms, self._geometry[attr][1])
+            for attr, (geoms, __) in successor._geometry.items()}
+        return successor
+    return advance
+
+
+def _appending_deletes(real_patched):
+    def patched(column, updated, removed, appended, resolve):
+        return real_patched(column, updated, [], appended, resolve)
+    return patched
+
+
+@pytest.mark.parametrize("bug", ["skip bbox columns", "append deletes"])
+def test_oracle_catches_a_seeded_patch_bug(bug, monkeypatch):
+    """The oracle is falsifiable: each deliberately broken patch makes
+    the fixed schedule fail it."""
+    if bug == "skip bbox columns":
+        monkeypatch.setattr(ClassColumns, "advance",
+                            _skip_bbox_patch(ClassColumns.advance))
+    else:
+        monkeypatch.setattr(columns_module, "_patched",
+                            _appending_deletes(columns_module._patched))
+    with pytest.raises(AssertionError):
+        check_schedule(FIXED_SCHEDULE)
