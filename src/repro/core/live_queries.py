@@ -9,7 +9,7 @@ queries it means constant re-execution of barely-changed windows. A
 * every written object of a commit's structured write-set
   (:class:`~repro.geodb.database.CommitWriteSet`) is judged by the
   standing query's :meth:`~repro.geodb.query.Predicate.matches` — the
-  evaluator the engine refines objects with;
+  object-at-a-time twin of the column kernel the engine selects with;
 * row deltas are applied to the maintained result: ordered results
   re-merge through the engine's total order ``(value is None, value,
   oid)``, aggregates recombine from per-object contributions, projected

@@ -1,20 +1,18 @@
 """Columnar scan storage: version-stamped per-class column sets.
 
-The query engine's row path filters by calling
-:meth:`~repro.geodb.query.Predicate.matches` on every candidate
-:class:`~repro.geodb.instances.GeoObject` — Python calls, a path
-resolution and a comparison per row per predicate term. For
-the scan-heavy analysis queries the customization loop fires constantly
-(rule evaluation, presentation refresh, live-query fallback
-re-execution), that per-row interpreter overhead dominates once the
-result cache misses.
+Every class plan of the query engine selects row positions of one
+:class:`ClassColumns` set: a full scan takes every row, a hash or
+R-tree scan maps its probe's oids to rows through ``row_of``, and the
+predicate's fused kernel
+(:meth:`~repro.geodb.query.Predicate.compile_columns`) narrows them.
+Scenario queries select the same way over a transient, unversioned set
+of their overlay candidates.
 
-This module materializes the attribute paths a query touches into
-parallel Python lists — one **column** per path, plus an oid column and
-a packed bbox column per geometry attribute — so predicate kernels
-(:meth:`~repro.geodb.query.Predicate.compile_columns`) can run as plain
-list comprehensions over positions, without materializing or calling
-into any object until the surviving rows are known.
+A set materializes the attribute paths a query touches into parallel
+Python lists — one **column** per path, plus an oid column and a packed
+bbox column per geometry attribute — so kernels run as plain list
+comprehensions over positions, without materializing or calling into
+any object until the surviving rows are known.
 
 Freshness is judged by the class commit version alone, the one key
 every piece of derived state uses: a column set is stamped with
@@ -30,18 +28,19 @@ class's first use, for a set that missed a batch, and after the two
 paths that move an extent without a commit, ``load_from_storage`` and
 ``resync``, which drop the whole cache.
 
-Building snapshots the extent as a seqlock-validated read
+Column sets hold **committed state only**. Building snapshots the
+extent as a seqlock-validated read
 (:meth:`~repro.geodb.database.GeographicDatabase._read_stable`, the same
 retry-then-lock protocol as every other lock-free reader): while a
 commit is applying, the build retries and then waits for the commit
-lock, so a scan always gets a column set.
-
-Column sets describe **the latest committed state only**. MVCC snapshot
-readers (``Transaction.read`` / ``Transaction.query``) and mid-
-transaction overlays never touch this cache — they resolve through the
-version store — and the engine itself only executes at the latest
-commit, so a fresh column set is always the state the row path would
-have scanned.
+lock, so a scan always gets a column set — and a scan that waited takes
+the set the commit just patched instead of building one. Lazy columns
+resolve their values through the same protocol and are kept on the set
+only when the seqlock did not move meanwhile, so a value written by a
+commit that later rolls back never stays in a set. MVCC snapshot
+readers (``Transaction.read`` / ``Transaction.query``) and
+mid-transaction overlays never touch this cache — they resolve through
+the version store.
 """
 
 from __future__ import annotations
@@ -104,18 +103,24 @@ class ClassColumns:
     A set is never mutated once another thread can hold it, apart from
     adding lazy columns and the lazy ``oid -> row`` map: a commit
     replaces it with a successor (:meth:`advance`).
+
+    ``database`` is the database whose committed state the set mirrors;
+    lazy columns resolve through its seqlock. A **transient** batch
+    (scenario candidates, benchmark baselines) has none: version ``-1``,
+    never cached, and its lazy columns resolve directly.
     """
 
     __slots__ = ("schema_name", "class_name", "version", "cardinality",
-                 "objects", "oids", "_row_of", "_paths", "_geometry")
+                 "objects", "oids", "_db", "_row_of", "_paths", "_geometry")
 
     def __init__(self, schema_name: str, class_name: str, version: int,
-                 objects: list):
+                 objects: list, database=None):
         self.schema_name = schema_name
         self.class_name = class_name
         self.version = version
         self.cardinality = len(objects)
         self.objects = objects
+        self._db = database
         #: the oid column, aligned with ``objects``
         self.oids = [obj.oid for obj in objects]
         self._row_of: dict[str, int] | None = None
@@ -127,12 +132,35 @@ class ClassColumns:
     def __len__(self) -> int:
         return self.cardinality
 
+    @classmethod
+    def transient(cls, objects: list) -> "ClassColumns":
+        """An unversioned batch over ``objects``, for selecting rows of
+        objects no database caches (see the class docstring)."""
+        return cls("", "", -1, objects)
+
     @property
     def row_of(self) -> dict[str, int]:
-        """oid -> row position, for hash-scan selection."""
+        """oid -> row position, for index- and hash-scan selection."""
         if self._row_of is None:
             self._row_of = {oid: i for i, oid in enumerate(self.oids)}
         return self._row_of
+
+    def _resolve(self, resolve) -> tuple[list, bool]:
+        """``(values, keep)``: ``resolve`` mapped over the objects.
+
+        The objects are live and a commit mutates them in place, so the
+        values are read as a stable read of the database; ``keep`` is
+        true only when the seqlock did not move around the whole read.
+        Otherwise a commit applied (or rolled back) meanwhile, maybe on
+        this very thread, and the values must not stay in the set.
+        """
+        db = self._db
+        objects = self.objects
+        if db is None:
+            return list(map(resolve, objects)), True
+        seq = db._mutation_seq
+        values = db._read_stable(lambda: list(map(resolve, objects)))
+        return values, not seq & 1 and db._mutation_seq == seq
 
     def path_column(self, path: str, geo_class: GeoClass) -> list:
         """The value column for an attribute path.
@@ -148,8 +176,10 @@ class ClassColumns:
         entry = self._paths.get(key)
         if entry is None:
             accessor = compile_path(path, geo_class)
-            entry = (accessor, [accessor(obj) for obj in self.objects])
-            self._paths[key] = entry
+            column, keep = self._resolve(accessor)
+            if not keep:
+                return column
+            entry = self._paths[key] = (accessor, column)
         return entry[1]
 
     def geometry_column(self, attr: str) -> tuple[list, list]:
@@ -164,9 +194,10 @@ class ClassColumns:
         """
         cached = self._geometry.get(attr)
         if cached is None:
-            geoms = [obj._values.get(attr) for obj in self.objects]
+            geoms, keep = self._resolve(lambda obj: obj._values.get(attr))
             cached = (geoms, list(map(_packed_bbox, geoms)))
-            self._geometry[attr] = cached
+            if keep:
+                self._geometry[attr] = cached
         return cached
 
     def advance(self, version: int, extent,
@@ -203,6 +234,7 @@ class ClassColumns:
         successor.schema_name = self.schema_name
         successor.class_name = self.class_name
         successor.version = version
+        successor._db = self._db
         successor.objects = _patched(self.objects, updated, removed,
                                      appended, lambda obj: obj)
         successor.cardinality = len(successor.objects)
@@ -294,21 +326,31 @@ class ColumnCache:
             self.hits += 1
             return cached
         extent = db.extent(schema_name, class_name)
-        # The version and the object list must come from the same
-        # commit state.
-        version, objects = db._read_stable(
-            lambda: (db.class_version(schema_name, class_name),
-                     list(extent)))
-        fresh = ClassColumns(schema_name, class_name, version, objects)
+
+        def read():
+            # The version and the object list must come from the same
+            # commit state. The cache is re-checked on every round: a
+            # read that waited for a commit finds the set it patched.
+            version = db.class_version(schema_name, class_name)
+            current = self._cache.get(key)
+            if current is not None and current.version == version:
+                return current, False
+            return ClassColumns(schema_name, class_name, version,
+                                list(extent), db), True
+
+        columns, built = db._read_stable(read)
+        if not built:
+            self.hits += 1
+            return columns
         # A slow build must not replace the set a commit patched past it.
         with self._install_lock:
             current = self._cache.get(key)
-            if current is None or current.version < version:
-                self._cache[key] = fresh
+            if current is None or current.version < columns.version:
+                self._cache[key] = columns
         self.builds += 1
         if cached is not None:
             self.invalidations += 1
-        return fresh
+        return columns
 
     def advance(self, intents, prev_versions: dict[tuple[str, str], int]
                 ) -> None:

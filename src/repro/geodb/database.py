@@ -288,20 +288,6 @@ class GeographicDatabase:
     def locate_object(self, oid: str) -> tuple[str, str] | None:
         return self._locations.get(oid)
 
-    def fetch_objects(self, schema_name: str, class_name: str,
-                      oids) -> list[GeoObject]:
-        """Resolve many oids of **one known class** in a single batch.
-
-        The per-oid :meth:`find_object` pays a location lookup plus an
-        extent lookup per call; index scans already know the class, so
-        this grabs the extent once and probes it directly. Oids no
-        longer live in the extent are skipped.
-        """
-        extent = self._extents.get((schema_name, class_name))
-        if extent is None:
-            return []
-        return extent.get_many(oids)
-
     def count(self, schema_name: str, class_name: str) -> int:
         return len(self.extent(schema_name, class_name))
 

@@ -189,11 +189,6 @@ class Extent:
     def get(self, oid: str) -> GeoObject | None:
         return self._objects.get(oid)
 
-    def get_many(self, oids) -> list[GeoObject]:
-        """Resolve many oids at once, skipping ones no longer present."""
-        get = self._objects.get
-        return [obj for obj in map(get, oids) if obj is not None]
-
     def __len__(self) -> int:
         return len(self._objects)
 

@@ -25,11 +25,11 @@ Cost model (unit: one extent-row visit)
 
 ``full-scan``      ``1 + N`` — touch every row of the extent.
 ``hash-scan``      ``2 + est_rows`` — bucket probes are O(1); the work
-                   is fetching and refining the bucket members.
+                   is selecting and refining the bucket members.
                    ``est_rows`` is exact: the sum of the probed
                    buckets' lengths.
 ``index-scan``     ``2·log2(N+2) + 1.15·est_rows`` — the tree descent
-                   plus fetch/refine of the overlap estimate, with a
+                   plus select/refine of the overlap estimate, with a
                    mild penalty for the R-tree's rectangle tests.
                    ``est_rows`` is ``N`` scaled by the probe box's
                    per-dimension overlap with the index's bounding box
@@ -70,11 +70,10 @@ class ClassPlan:
     """The chosen access path for one class of a query's closure."""
 
     __slots__ = ("class_name", "kind", "index", "est_cost", "est_rows",
-                 "reason", "columns", "columns_reason")
+                 "reason")
 
     def __init__(self, class_name: str, kind: str, index: str | None,
-                 est_cost: float, est_rows: float, reason: str = "",
-                 columns: bool = False, columns_reason: str = ""):
+                 est_cost: float, est_rows: float, reason: str = ""):
         self.class_name = class_name
         self.kind = kind
         #: index identity (``rtree(Cls.attr)`` / ``hash(Cls.attr)``), or None
@@ -83,26 +82,16 @@ class ClassPlan:
         self.est_rows = est_rows
         #: why this path won (or why an index was not usable)
         self.reason = reason
-        #: whether this class scans the columnar path (set eligible by
-        #: the planner, downgraded by the engine if the column set
-        #: cannot be used at execution time — see docs/COLUMNS.md)
-        self.columns = columns
-        #: why the row path was used when ``columns`` is False
-        self.columns_reason = columns_reason
 
     def describe(self) -> dict[str, Any]:
-        described = {
+        return {
             "class": self.class_name,
             "plan": self.kind,
             "index": self.index,
             "est_cost": round(self.est_cost, 2),
             "est_rows": round(self.est_rows, 2),
             "reason": self.reason,
-            "columns": self.columns,
         }
-        if not self.columns and self.columns_reason:
-            described["columns_reason"] = self.columns_reason
-        return described
 
     def __repr__(self) -> str:
         return (f"<ClassPlan {self.class_name}: {self.kind}"
@@ -235,13 +224,6 @@ class QueryPlanner:
                 # extent is empty, or no row has geometry set): the full
                 # scan is the only correct path and already selected.
                 pass
-        # Column eligibility: full and hash scans visit rows the column
-        # snapshot covers one-for-one; an index scan's candidate set
-        # comes from the R-tree, which has no column-side equivalent.
-        if best.kind in (FULL_SCAN, HASH_SCAN):
-            best.columns = True
-        else:
-            best.columns_reason = "index scan"
         return best
 
     def _attr_is_spatial(self, schema_name: str, class_name: str,

@@ -16,20 +16,22 @@ Predicates are pure descriptions; execution (and index selection) lives in
 
 Each predicate has one evaluator per access shape:
 
-* :meth:`Predicate.matches` judges **one object** — the engine's
-  refine of index-scan candidates and of its row fallbacks, scenario
-  queries, live-query membership and the reference evaluator the tests
-  judge every route against. Unresolvable paths and
-  uncomparable values are non-matches, never errors.
 * :meth:`Predicate.compile_columns` fuses the predicate tree into a
   **column kernel** — ``rows -> surviving rows`` over the position lists
-  of a :class:`~repro.geodb.columns.ClassColumns` snapshot. Kernels never
-  touch a :class:`~repro.geodb.instances.GeoObject`: comparisons run as
-  list comprehensions over pre-resolved value columns, conjunctions
-  narrow the row list term by term, and spatial predicates reject on a
-  packed bbox column before evaluating any geometry. Their answers equal
-  ``matches`` row for row (the property suite in
-  ``tests/test_properties_columns.py`` pins the equivalence).
+  of a :class:`~repro.geodb.columns.ClassColumns` set. Every query route
+  selects with it: the engine's full, hash and index scans and scenario
+  queries. Kernels never touch a
+  :class:`~repro.geodb.instances.GeoObject`: comparisons run as list
+  comprehensions over pre-resolved value columns, conjunctions narrow
+  the row list term by term, and spatial predicates reject on a packed
+  bbox column before evaluating any geometry.
+* :meth:`Predicate.matches` judges **one object** — live-query
+  membership of a written object, the base ``compile_columns`` fallback
+  for predicate subclasses that define no kernel, and the reference
+  evaluator the tests judge every route against (the property suite in
+  ``tests/test_properties_columns.py`` pins that kernels answer like
+  it). Unresolvable paths and uncomparable values are non-matches,
+  never errors.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Query execution: cost-based planning, refine, shaping.
+"""Query execution: cost-based planning, column selection, shaping.
 
 The engine evaluates a :class:`repro.geodb.query.Query` against a
 :class:`repro.geodb.database.GeographicDatabase`:
@@ -9,33 +9,29 @@ The engine evaluates a :class:`repro.geodb.query.Query` against a
    bucket sizes, R-tree size and coverage). Mixed closures mix
    access paths; every per-class decision lands in the execution
    report.
-2. **Refine** — one evaluator per access shape: a column kernel over a
-   snapshot, :meth:`~repro.geodb.query.Predicate.matches` over objects
-   (candidates are batch-fetched from their class extent, not resolved
-   oid-by-oid). Browse queries (``TruePredicate``) skip the refine
-   entirely.
+2. **Select** — every class plan selects row positions of the class's
+   version-stamped column set (:mod:`repro.geodb.columns`, patched past
+   every commit). A full scan takes every row; an index or hash scan
+   maps its probe's oids to rows through ``row_of`` and sorts them into
+   extent order, reading the probe and the class version as one stable
+   read, so the hits and the set come from one commit state. The
+   predicate's fused column kernel
+   (:meth:`~repro.geodb.query.Predicate.compile_columns`) then narrows
+   the rows without touching a single :class:`GeoObject`; browse
+   queries (``TruePredicate``) skip it.
 3. **Shape** — ordering, limiting and projection/aggregation, in one
-   shaper that reads columns (:meth:`QueryEngine._shape_columns`).
+   shaper that reads columns (:meth:`QueryEngine.shape`).
 
 Every selection reaches the shaper as a list of ``(columns, selected
-row positions)`` parts, one per closure class. Full and hash scans
-select **columnar** over the class's version-stamped column snapshot
-(:mod:`repro.geodb.columns`, patched past every commit; a build that
-meets an applying commit waits for it): the predicate compiles to a
-fused column kernel (:meth:`~repro.geodb.query.Predicate.compile_columns`)
-that selects row positions without touching a single :class:`GeoObject`.
-Everything else — index scans (whose candidates come from the R-tree),
-an engine built with ``use_columns=False`` and
-:meth:`QueryEngine.shape_rows` callers — refines object by object with
-``matches`` and wraps the matches in a transient, unversioned column
-batch, so one set of ordering, aggregate and projection rules answers
-every route. A mixed closure shapes one part per class: one sort on the
-total order ``(value is None, value, oid)`` and one aggregate whose
-float sums are correctly rounded (:func:`finalize_aggregate`). The
-per-class plan report records which selection ran (``columns:
-true/false`` plus a reason). The engine always answers at the **latest committed state** —
-MVCC snapshot readers and mid-transaction overlays resolve through
-``Transaction.query``/``read`` and never reach this module.
+row positions)`` parts, one per closure class, in extent order whatever
+the plan. Scenario queries shape through the same entry over a
+transient batch of their overlay candidates. A mixed closure shapes one
+part per class: one sort on the total order ``(value is None, value,
+oid)`` and one aggregate whose float sums are correctly rounded
+(:func:`finalize_aggregate`). The engine always answers at the **latest
+committed state** — MVCC snapshot readers and mid-transaction overlays
+resolve through ``Transaction.query``/``read`` and never reach this
+module.
 
 The returned :class:`QueryResult` carries the rows plus an execution
 report (overall plan, truthful per-class plan list, candidates
@@ -52,11 +48,10 @@ from typing import Any
 
 from .. import obs
 from ..errors import QueryError
-from .columns import ClassColumns
 from .database import GeographicDatabase
 from .instances import GeoObject
-from .planner import FULL_SCAN, HASH_SCAN, INDEX_SCAN, ClassPlan, QueryPlanner
-from .query import MISSING, Predicate, Query, TruePredicate, compile_path
+from .planner import FULL_SCAN, INDEX_SCAN, ClassPlan, QueryPlanner
+from .query import MISSING, Query, TruePredicate, compile_path
 from .schema import GeoClass
 
 
@@ -83,25 +78,6 @@ def finalize_aggregate(op: str, values) -> Any:
     if isinstance(total, float):
         total = math.fsum(values)
     return total if op == "sum" else total / len(values)
-
-
-def _refine(objects: list, where: Predicate, geo_class: GeoClass) -> list:
-    """The candidates ``where`` matches, one ``matches`` call each
-    (the candidate list itself for a browse query)."""
-    if isinstance(where, TruePredicate):
-        return objects
-    matches = where.matches
-    return [obj for obj in objects if matches(obj, geo_class)]
-
-
-def _row_part(matches: list) -> tuple:
-    """Refined objects as a shaping part.
-
-    The matches are wrapped in a transient, unversioned column batch
-    (never cached) that selects every row, so the row routes shape
-    through the same code as column snapshots.
-    """
-    return ClassColumns("", "", -1, matches), range(len(matches))
 
 
 class QueryResult:
@@ -164,13 +140,6 @@ class QueryResult:
                        f"rows ~{class_plan['est_rows']})")
             if class_plan.get("reason"):
                 detail += f" — {class_plan['reason']}"
-            if "columns" in class_plan:
-                if class_plan["columns"]:
-                    detail += " [columns]"
-                elif class_plan.get("columns_reason"):
-                    detail += f" [rows: {class_plan['columns_reason']}]"
-                else:
-                    detail += " [rows]"
             lines.append(detail)
         if r.get("cache"):
             lines.append(f"cache: {r['cache']}")
@@ -180,13 +149,9 @@ class QueryResult:
 class QueryEngine:
     """Executes queries against one database."""
 
-    def __init__(self, database: GeographicDatabase,
-                 use_columns: bool = True):
+    def __init__(self, database: GeographicDatabase):
         self.database = database
         self.planner = QueryPlanner(database)
-        #: columnar execution switch — False forces the row path on
-        #: every scan (benchmark baselines, equivalence tests)
-        self.use_columns = use_columns
 
     def execute(self, schema_name: str, query: Query) -> QueryResult:
         rec = obs.RECORDER
@@ -223,74 +188,64 @@ class QueryEngine:
                                           equality, query, geo_class)
             parts.append(part)
             candidates += examined
-        return self._shape_columns(query, geo_class, parts,
-                                   self._report(plans, candidates))
+        return self.shape(query, geo_class, parts,
+                          self._report(plans, candidates))
 
     def _select(self, schema_name: str, class_plan: ClassPlan, prefilter,
                 equality, query: Query, geo_class: GeoClass):
         """Run one class plan's selection as a shaping part.
 
         Returns ``((columns, selected row positions), candidates
-        examined)``. Full and hash scans select over the class's column
-        snapshot; index scans, and every scan of an engine built with
-        ``use_columns=False``, refine the planned candidates with
-        ``matches`` into a transient batch — ``class_plan.columns``/
-        ``columns_reason`` always end up describing what actually
-        happened.
+        examined)``: the plan's candidate rows of the class's column
+        set, narrowed by the predicate's column kernel.
         """
-        if class_plan.columns and not self.use_columns:
-            class_plan.columns = False
-            class_plan.columns_reason = "columns disabled"
-            if obs.RECORDER.enabled:
-                obs.RECORDER.inc("query.columns.fallback", reason="disabled")
-        if not class_plan.columns:
-            objects = self._class_candidates(schema_name, class_plan,
-                                             prefilter, equality)
-            return (_row_part(_refine(objects, query.where, geo_class)),
-                    len(objects))
-        columns = self.database.column_cache.for_class(
-            schema_name, class_plan.class_name)
-        if class_plan.kind == HASH_SCAN:
-            # Same candidate order as the row path: sorted oids, absent
-            # members skipped.
-            row_of = columns.row_of
-            rows: Any = [row for oid in self._hash_oids(
-                             schema_name, class_plan.class_name, equality)
-                         if (row := row_of.get(oid)) is not None]
+        class_name = class_plan.class_name
+        if class_plan.kind == FULL_SCAN:
+            columns = self.database.column_cache.for_class(schema_name,
+                                                           class_name)
+            rows: Any = range(columns.cardinality)
         else:
-            rows = range(columns.cardinality)
+            columns, rows = self._probe_rows(schema_name, class_plan,
+                                             prefilter, equality)
         if isinstance(query.where, TruePredicate):
             return (columns, rows), len(rows)
         kernel = query.where.compile_columns(geo_class, columns)
         return (columns, kernel(rows)), len(rows)
 
-    def _hash_oids(self, schema_name: str, class_name: str,
-                   equality) -> list[str]:
-        """A hash scan's candidate oids, sorted."""
-        attr, values = equality
-        index = self.database.attribute_index(schema_name, class_name, attr)
-        if len(values) == 1:
-            return sorted(index.lookup_view(values[0]))
-        return sorted(index.lookup_many(values))
+    def _probe_rows(self, schema_name: str, class_plan: ClassPlan,
+                    prefilter, equality) -> tuple:
+        """``(columns, rows)``: an index or hash probe's hits as sorted
+        row positions of the class's column set.
 
-    def _class_candidates(self, schema_name: str, class_plan: ClassPlan,
-                          prefilter, equality):
-        """Candidates for one class via its planned access path, as a
-        fresh list (a full scan snapshots the extent under the seqlock,
-        so concurrent commits cannot resize it mid-refine)."""
+        The probe and the class version are read as one stable read;
+        if that version is not the set's, a commit landed between the
+        two and the set is fetched again, so hits and rows always come
+        from one commit state. Hits the set does not hold are skipped.
+        """
         db = self.database
         class_name = class_plan.class_name
         if class_plan.kind == INDEX_SCAN:
             attr, box = prefilter
-            index = db.spatial_index(schema_name, class_name, attr)
-            return db.fetch_objects(schema_name, class_name,
-                                    index.search(box))
-        if class_plan.kind == HASH_SCAN:
-            return db.fetch_objects(
-                schema_name, class_name,
-                self._hash_oids(schema_name, class_name, equality))
-        extent = db.extent(schema_name, class_name)
-        return db._read_stable(lambda: list(extent))
+            rtree = db.spatial_index(schema_name, class_name, attr)
+
+            def probe():
+                return rtree.search(box)
+        else:
+            attr, values = equality
+            index = db.attribute_index(schema_name, class_name, attr)
+
+            def probe():
+                return index.lookup_many(values)
+        while True:
+            columns = db.column_cache.for_class(schema_name, class_name)
+            row_of = columns.row_of
+            version, rows = db._read_stable(lambda: (
+                db.class_version(schema_name, class_name),
+                [row for oid in probe()
+                 if (row := row_of.get(oid)) is not None]))
+            if version == columns.version:
+                rows.sort()
+                return columns, rows
 
     @staticmethod
     def _report(plans, candidates: int) -> dict[str, Any]:
@@ -308,14 +263,6 @@ class QueryEngine:
         }
 
     # -- shaping ---------------------------------------------------------------
-
-    def shape_rows(self, query: Query, geo_class: GeoClass,
-                   matches: list[GeoObject],
-                   report: dict[str, Any]) -> QueryResult:
-        """The result of an already-filtered match list: one aggregate
-        row, or the ordered, limited and projected matches."""
-        return self._shape_columns(query, geo_class,
-                                   [_row_part(list(matches))], report)
 
     @staticmethod
     def _order_key(geo_class: GeoClass, query: Query):
@@ -342,16 +289,15 @@ class QueryEngine:
 
         return key, descending
 
-    def _shape_columns(self, query: Query, geo_class: GeoClass,
-                       parts: list[tuple], report: dict[str, Any]
-                       ) -> QueryResult:
+    def shape(self, query: Query, geo_class: GeoClass, parts: list[tuple],
+              report: dict[str, Any]) -> QueryResult:
         """Shape a selection straight from the columns — every route's
         one shaper.
 
         ``parts`` holds one ``(columns, selected row positions)`` pair
-        per closure class, in plan order: column snapshots for
-        columnar selections, transient batches for row-refined ones.
-        Ordering, aggregation and projection read value columns;
+        per closure class, in plan order: cached column sets for engine
+        plans, a transient batch for scenario queries. Ordering,
+        aggregation and projection read value columns;
         objects are referenced only for the rows that survive selection
         (and limit, for ordered queries' projections).
         """

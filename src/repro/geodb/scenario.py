@@ -27,6 +27,7 @@ from __future__ import annotations
 from typing import Any, Iterator
 
 from ..errors import ObjectNotFoundError, SessionError
+from .columns import ClassColumns
 from .instances import GeoObject, fresh_oid
 from .query import Query
 from .query_engine import QueryEngine, QueryResult
@@ -142,28 +143,23 @@ class Scenario:
         """Run a declarative query against the hypothetical extension.
 
         Always a full scan over the scenario view (the base indexes do not
-        know about the overlay) — correct, and fine at simulation scales.
+        know about the overlay): the candidates of every closure class
+        form one transient column batch, which the query's column kernel
+        selects and the engine's shaper shapes, as for any engine plan.
         """
         self._require_open()
+        engine = QueryEngine(self.database)
         schema = self.database.get_schema_object(self.schema_name)
         geo_class = schema.get_class(query.class_name)
-        class_names = [query.class_name]
-        if query.include_subclasses:
-            pending = [query.class_name]
-            class_names = []
-            while pending:
-                current = pending.pop()
-                class_names.append(current)
-                pending.extend(schema.subclasses(current))
-        candidates: list[GeoObject] = []
-        for name in class_names:
-            candidates.extend(self.extent(name))
-        matches = [obj for obj in candidates
-                   if query.where.matches(obj, geo_class)]
+        candidates = [obj for name in engine.planner.class_closure(
+                          self.schema_name, query)
+                      for obj in self.extent(name)]
+        batch = ClassColumns.transient(candidates)
+        rows = query.where.compile_columns(geo_class, batch)(
+            range(len(candidates)))
         report = {"plan": "scenario-scan", "index": None,
                   "candidates": len(candidates)}
-        return QueryEngine(self.database).shape_rows(query, geo_class,
-                                                     matches, report)
+        return engine.shape(query, geo_class, [(batch, rows)], report)
 
     def run_query(self, text: str) -> QueryResult:
         """Textual analysis query evaluated in the hypothetical world."""

@@ -1,11 +1,13 @@
-"""Vectorized columnar scan path: cache lifecycle, kernel parity, MVCC.
+"""Columnar selection: cache lifecycle, reference parity, MVCC.
 
-The contract under test: for every query the engine answers through
-column kernels, the answer is **byte-identical** (oids, rows, report
-candidates) to the row path's answer on the same database — and the
-column cache never serves stale state: commits invalidate via the class
+Every plan of the engine selects rows of the class's column set. The
+contract under test: every answer is **byte-identical** (oids in order,
+rows) to the reference evaluator's (``tests/_reference.py``, plain
+``Predicate.matches`` row by row) on the same database — and the column
+cache never serves stale state: commits patch sets past the class
 version stamp, a build that meets an applying commit waits for it and
-stays columnar, and MVCC snapshot readers never touch columns at all.
+takes the set the commit patched, and MVCC snapshot readers never touch
+columns at all.
 """
 
 from __future__ import annotations
@@ -56,40 +58,28 @@ def db():
         blocks_x=3, blocks_y=3, poles_per_street=4, duct_count=5, seed=7))
 
 
-def answer(result):
-    """A byte-comparable rendering of one result (order-preserving)."""
-    return (result.oids(), result.rows,
-            result.report["candidates"], len(result.objects))
-
-
 def assert_equivalent(db, text):
-    columns = QueryEngine(db).execute(SCHEMA, parse_query(text))
-    rows = QueryEngine(db, use_columns=False).execute(
-        SCHEMA, parse_query(text))
-    assert answer(columns) == answer(rows)
-    return columns
+    """The engine answers ``text`` exactly like the reference: the same
+    oids in the same order (extent order when unordered) and rows."""
+    query = parse_query(text)
+    result = QueryEngine(db).execute(SCHEMA, query)
+    expected, rows = reference.evaluate(db, SCHEMA, query)
+    assert (result.oids(), result.rows) == (
+        [obj.oid for obj in expected], rows)
+    return result
 
 
 class TestRowColumnEquivalence:
+    """Column selection against the row-by-row reference evaluator."""
+
     @pytest.mark.parametrize("text", QUERIES)
     def test_byte_identical_answers(self, db, text):
         result = assert_equivalent(db, text)
-        # Full scans actually took the columnar path (truthful report).
+        # A full scan examines every row of its class's set.
         for class_plan in result.report["plans"]:
             if class_plan["plan"] == "full-scan":
-                assert class_plan["columns"] is True
-
-    def test_disabled_engine_reports_rows(self, db):
-        result = QueryEngine(db, use_columns=False).execute(
-            SCHEMA, parse_query(QUERIES[0]))
-        (class_plan,) = result.report["plans"]
-        assert class_plan["columns"] is False
-        assert class_plan["columns_reason"] == "columns disabled"
-        assert "[rows: columns disabled]" in result.explain()
-
-    def test_explain_marks_columnar_classes(self, db):
-        result = QueryEngine(db).execute(SCHEMA, parse_query(QUERIES[0]))
-        assert "[columns]" in result.explain()
+                assert result.report["candidates"] >= len(
+                    db.extent(SCHEMA, class_plan["class"]))
 
 
 class TestCacheLifecycle:
@@ -157,12 +147,10 @@ class TestCacheLifecycle:
         try:
             before = engine.execute(MIX_SCHEMA, parse_query(text))
             assert before.oids() == []
-            assert before.report["plans"][0]["columns"] is True
             assert reopened.class_version(MIX_SCHEMA, MIX_CLASS) == 0
             assert reopened.load_from_storage() == 5
             after = engine.execute(MIX_SCHEMA, parse_query(text))
             assert len(after.oids()) == 5
-            assert after.report["plans"][0]["columns"] is True
         finally:
             reopened.pager.close()
 
@@ -187,8 +175,8 @@ class TestCacheLifecycle:
 
 class TestSeqlockFallback:
     """A column build that meets an applying commit falls back to the
-    commit lock: it waits for the commit instead of leaving the column
-    path."""
+    commit lock: it waits for the commit, then takes the set the commit
+    patched instead of building one."""
 
     def test_mid_commit_query_waits_then_answers_columnar(
             self, db, monkeypatch):
@@ -232,20 +220,9 @@ class TestSeqlockFallback:
         assert not writer.is_alive() and not reader.is_alive()
         (result,) = results
         assert result.oids() == [victim]
-        assert result.report["plans"][0]["columns"] is True
+        assert db.column_cache.builds == 1      # no build after the wait
         assert db.column_cache.for_class(SCHEMA, "Pole").version \
             == db.class_version(SCHEMA, "Pole")
-
-    def test_fallback_counter_labelled_by_reason(self, db):
-        recorder = obs.enable(registry=obs.MetricsRegistry())
-        try:
-            QueryEngine(db).execute(SCHEMA, parse_query(QUERIES[0]))
-            QueryEngine(db, use_columns=False).execute(
-                SCHEMA, parse_query(QUERIES[0]))
-            assert recorder.registry.counter_value(
-                "query.columns.fallback", reason="disabled") == 1
-        finally:
-            obs.disable()
 
     def test_build_and_hit_counters(self, db):
         engine = QueryEngine(db)
@@ -382,12 +359,15 @@ class TestConcurrentCommitScan:
     up, and the engine then refined the live extent with nothing
     guarding it — ``RuntimeError: dictionary changed size during
     iteration`` within a fraction of a second, and most scans left the
-    column path. The row path's full scan and the scenario view iterated
-    the live extent the same way; all three now snapshot it under the
-    seqlock.
+    column path. The scenario view iterated the live extent the same
+    way; both now snapshot it under the seqlock, and an R-tree scan
+    reads its hits under it too.
     """
 
     TEXT = "select * from Pole where install_year > 1980"
+    #: the inserted poles land in this window
+    WINDOW_TEXT = ("select * from Pole where install_year > 1980 and "
+                   "within(pole_location, bbox(-1, 0, 120, 2))")
 
     def _race(self, db, scan, readers=2):
         """Run ``scan()`` on ``readers`` threads while 300 one-row Pole
@@ -430,9 +410,9 @@ class TestConcurrentCommitScan:
             sys.setswitchinterval(interval)
         return errors
 
-    def _assert_reference(self, db, result):
-        expected, __ = reference.evaluate(db, SCHEMA, parse_query(self.TEXT))
-        assert sorted(result.oids()) == sorted(obj.oid for obj in expected)
+    def _assert_reference(self, db, result, text=TEXT):
+        expected, __ = reference.evaluate(db, SCHEMA, parse_query(text))
+        assert result.oids() == [obj.oid for obj in expected]
 
     def test_scans_stay_columnar_while_inserts_commit(self, db):
         plans: list[dict] = []
@@ -444,18 +424,23 @@ class TestConcurrentCommitScan:
             errors = self._race(db, scan)
             final = kernel.query(SCHEMA, self.TEXT, use_cache=False)
         assert errors == []
-        assert plans and all(plan["columns"] is True for plan in plans)
+        assert plans
         self._assert_reference(db, final)
-        assert final.report["plans"][0]["columns"] is True
 
-    def test_row_scans_survive_inserts(self, db):
-        engine = QueryEngine(db, use_columns=False)
-        errors = self._race(
-            db, lambda: engine.execute(SCHEMA, parse_query(self.TEXT)))
+    def test_index_scans_survive_inserts(self, db):
+        engine = QueryEngine(db)
+        query = parse_query(self.WINDOW_TEXT)
+        plans: list[str] = []
+
+        def scan():
+            plans.append(engine.execute(SCHEMA, query).report["plan"])
+
+        errors = self._race(db, scan)
         assert errors == []
-        final = engine.execute(SCHEMA, parse_query(self.TEXT))
-        assert final.report["plans"][0]["columns"] is False
-        self._assert_reference(db, final)
+        assert "index-scan" in plans
+        final = engine.execute(SCHEMA, query)
+        assert final.report["plan"] == "index-scan"
+        self._assert_reference(db, final, self.WINDOW_TEXT)
 
     def test_scenario_scans_survive_inserts(self, db):
         errors = self._race(db, lambda: db.scenario(SCHEMA).execute(
@@ -484,7 +469,6 @@ class TestMVCCRouting:
             new = engine.execute(SCHEMA, parse_query(
                 "select * from Pole where status = 'ok'"))
             assert victim not in new.oids()
-            assert new.report["plans"][0]["columns"] is True
         finally:
             reader.abort()
 
@@ -516,33 +500,34 @@ class TestMVCCRouting:
 
 
 class TestHashScanParity:
+    """Probe plans (hash and R-tree scans) select rows of the column set,
+    in extent order, examining exactly the probe's hits."""
+
     def test_hash_scan_uses_columns_with_equal_candidates(self, db):
         db.create_attribute_index(SCHEMA, "Pole", "pole_type")
         text = "select * from Pole where pole_type = 1 and status = 'ok'"
-        cols = QueryEngine(db).execute(SCHEMA, parse_query(text))
-        rows = QueryEngine(db, use_columns=False).execute(
-            SCHEMA, parse_query(text))
-        assert cols.report["plan"] == rows.report["plan"] == "hash-scan"
-        assert cols.report["candidates"] == rows.report["candidates"]
-        assert answer(cols) == answer(rows)
-        assert cols.report["plans"][0]["columns"] is True
+        result = assert_equivalent(db, text)
+        assert result.report["plan"] == "hash-scan"
+        bucket = db.attribute_index(SCHEMA, "Pole", "pole_type").lookup(1)
+        assert result.report["candidates"] == len(bucket)
 
     def test_in_predicate_parity(self, db):
         db.create_attribute_index(SCHEMA, "Pole", "pole_type")
         assert_equivalent(
             db, "select * from Pole where pole_type in [0, 2]"
                 " order by install_year")
+        assert_equivalent(db, "select * from Pole where pole_type in [0, 2]")
 
-    def test_index_scan_stays_on_rows(self, db):
-        result = QueryEngine(db).execute(SCHEMA, parse_query(
+    def test_index_scan_selects_column_rows(self, db):
+        box = BBox(0, 0, 120, 120)
+        result = assert_equivalent(db, (
             "select * from Pole where"
             " within(pole_location, bbox(0, 0, 120, 120))"))
-        index_plans = [p for p in result.report["plans"]
-                       if p["plan"] == "index-scan"]
-        if index_plans:          # planner chose the R-tree
-            assert all(p["columns"] is False for p in index_plans)
-            assert all(p["columns_reason"] == "index scan"
-                       for p in index_plans)
+        assert result.report["plan"] == "index-scan"
+        hits = db.spatial_index(SCHEMA, "Pole", "pole_location").search(box)
+        assert result.report["candidates"] == len(hits)
+        columns = db.column_cache.for_class(SCHEMA, "Pole")
+        assert set(columns._geometry) == {"pole_location"}
 
 
 class TestResultAndStatsBatching:
@@ -581,4 +566,6 @@ class TestBulkLoadedRebuild:
 class TestRunQueryIntegration:
     def test_run_query_goes_columnar_by_default(self, db):
         result = run_query(db, SCHEMA, QUERIES[0])
-        assert result.report["plans"][0]["columns"] is True
+        assert db.column_cache.builds == 1
+        assert result.oids() == [obj.oid for obj in reference.evaluate(
+            db, SCHEMA, parse_query(QUERIES[0]))[0]]

@@ -1,16 +1,16 @@
 """Every query route answers like the reference evaluator.
 
 A predicate has one evaluator per access shape: ``Predicate.matches``
-judges objects (index-scan refines, the row fallbacks, live-query
-membership) and ``compile_columns`` judges column snapshots. A
+judges objects (live-query membership) and ``compile_columns`` judges
+column sets, which every engine plan and scenario query select over. A
 predicate subclass that defines only ``matches`` reaches the column
 route through the base-class kernel. These tests run such a custom
-predicate, alone and inside combinators, over every engine route —
-columnar, ``use_columns=False`` and a mixed closure whose rows are split
-over two classes — and through a live watch under commits, against
-``tests/_reference.py``. They also pin the projected ``oid`` (the
-object's oid on every route) and float aggregates (the reference's
-correctly rounded answer on every route).
+predicate, alone and inside combinators, over every query route — the
+engine's plan, a scenario's transient batch and a mixed closure whose
+rows are split over two classes — and through a live watch under
+commits, against ``tests/_reference.py``. They also pin the projected
+``oid`` (the object's oid on every route) and float aggregates (the
+reference's correctly rounded answer on every route).
 """
 
 from __future__ import annotations
@@ -101,11 +101,10 @@ def mixed_copy(db):
 
 
 def route_results(db, query):
-    """(route name, result) for the columnar, row and mixed-closure
+    """(route name, result) for the engine, scenario and mixed-closure
     routes; the mixed closure shapes two parts into the same answer."""
-    yield "columns", QueryEngine(db).execute(MIX_SCHEMA, query)
-    yield "rows", QueryEngine(db, use_columns=False).execute(MIX_SCHEMA,
-                                                             query)
+    yield "engine", QueryEngine(db).execute(MIX_SCHEMA, query)
+    yield "scenario", db.scenario(MIX_SCHEMA).execute(query)
     closure_query = copy.copy(query)
     closure_query.include_subclasses = True
     result = QueryEngine(mixed_copy(db)).execute(MIX_SCHEMA, closure_query)
@@ -123,11 +122,21 @@ def test_custom_predicate_equals_reference_on_every_route(db, where, shape):
             route
 
 
-def test_custom_predicate_reaches_the_column_route(db):
+def test_custom_predicate_reaches_the_column_route(db, monkeypatch):
     """The base kernel serves a ``matches``-only predicate on columns."""
-    result = QueryEngine(db).execute(MIX_SCHEMA,
-                                     Query(MIX_CLASS, where=EvenSize()))
-    assert [plan["columns"] for plan in result.report["plans"]] == [True]
+    compiled = []
+    base_kernel = Predicate.compile_columns
+
+    def spy(self, geo_class, columns):
+        compiled.append(columns)
+        return base_kernel(self, geo_class, columns)
+
+    monkeypatch.setattr(EvenSize, "compile_columns", spy, raising=False)
+    query = Query(MIX_CLASS, where=EvenSize())
+    result = QueryEngine(db).execute(MIX_SCHEMA, query)
+    assert compiled == [db.column_cache.for_class(MIX_SCHEMA, MIX_CLASS)]
+    assert result.oids() == [obj.oid for obj in _reference.evaluate(
+        db, MIX_SCHEMA, query)[0]]
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -181,7 +190,7 @@ def test_projected_oid_in_live_rows(db):
 
 def test_phone_net_float_aggregates_equal_reference():
     """Float sum/avg over the 168-pole phone net are the reference's
-    correctly rounded answer on the columnar and row routes. Only Pole
+    correctly rounded answer on the engine and scenario routes. Only Pole
     declares them, so the shaper merges one part here; a live watch's
     arrival-order independence is pinned in ``test_live_queries.py``."""
     db = build_phone_net_database(PhoneNetParams(
@@ -190,5 +199,5 @@ def test_phone_net_float_aggregates_equal_reference():
                         "avg(pole_composition.pole_diameter) from Pole")
     matches, expected = _reference.evaluate(db, "phone_net", query)
     assert len(matches) == 168
-    for engine in (QueryEngine(db), QueryEngine(db, use_columns=False)):
-        assert engine.execute("phone_net", query).rows == expected
+    assert QueryEngine(db).execute("phone_net", query).rows == expected
+    assert db.scenario("phone_net").execute(query).rows == expected

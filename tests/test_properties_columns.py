@@ -1,25 +1,30 @@
-"""Property-based tests for the columnar scan path.
+"""Property-based tests for the columnar selection path.
 
-Random databases and random queries prove the invariant the columnar
-subsystem rests on: **the column kernels and the row path are the same
-function**. For every generated (data, query) pair the two engines must
-agree on membership, order, projected rows and aggregates — and a
-commit after the columns are warm must never leave a stale answer
-behind (the version stamp, not luck, keeps them equal). Since every
-route shapes through one shaper, the routes are also checked against
-an independent reference evaluator (``tests/_reference.py``) — among
-them a mixed closure, where a test-local subclass holds every other
-row, so the sort, the top-k and the float ``sum``/``avg`` merge two
-parts.
+Every query route selects rows of a column set: full, hash and R-tree
+scans of the engine over the class's cached set, scenario queries over
+a transient batch. Random databases and random queries prove that
+**every route answers like an independent reference evaluator**
+(``tests/_reference.py``, plain ``Predicate.matches`` over the
+extents) — on one class and on a mixed closure, where a test-local
+subclass holds every other row, so the sort, the top-k and the float
+``sum``/``avg`` merge two parts — and that a commit after the columns
+are warm never leaves a stale answer behind. Spatial terms in the
+generated predicates send conjunctions through R-tree scans, whose
+unordered answers must come back in extent order like every other
+plan's, and whose hits must come from the column set's commit state
+even when a commit lands mid-query.
 
 A second invariant covers what a commit does to warm columns: every
 batch patches each cached set instead of discarding it, and the patched
 set must equal a fresh build field by field, whichever path applied the
-batch (local commit, replicated batch, WAL recovery replay) and whether
-the commit succeeded, was refused or rolled back.
+batch (local commit, replicated batch, WAL recovery replay), whether
+the commit succeeded, was refused or rolled back, and whether lazy
+columns were added while it applied.
 """
 
 from __future__ import annotations
+
+import threading
 
 import pytest
 from hypothesis import example, given, settings
@@ -31,6 +36,7 @@ from repro.geodb import (FLOAT, INTEGER, TEXT, Attribute, ClassColumns,
                          LocalReplicationSource, MemoryPager, QueryEngine,
                          ReferenceType, TupleType, WriteAheadLog)
 from repro.geodb import columns as columns_module
+from repro.geodb.planner import INDEX_SCAN
 from repro.geodb.query_language import parse_query
 from repro.spatial import Point
 from repro.workloads import build_mix_schema
@@ -83,16 +89,30 @@ def make_db(rows, mixed=False) -> GeographicDatabase:
 
 @st.composite
 def where_clauses(draw):
+    """One to three terms over size, name and the location window.
+
+    Locations sit on the integer grid ``(i % 7, i % 5)``; windows have
+    integer or half-integer corners, so points fall inside, outside and
+    on edges (``touches``, not ``within``). A window term in a
+    conjunction lets the planner choose an R-tree scan.
+    """
     terms = []
     for __ in range(draw(st.integers(min_value=1, max_value=3))):
-        if draw(st.booleans()):
+        kind = draw(st.sampled_from(["size", "name", "window"]))
+        if kind == "size":
             op = draw(st.sampled_from(OPS))
             value = draw(st.integers(min_value=-50, max_value=50))
             terms.append(f"size {op} {value}")
-        else:
+        elif kind == "name":
             name = draw(st.sampled_from(["ash", "beech", "a%"]))
             op = "like" if "%" in name else draw(st.sampled_from(["=", "!="]))
             terms.append(f"name {op} '{name}'")
+        else:
+            x, y = draw(st.integers(-1, 6)), draw(st.integers(-1, 4))
+            width = draw(st.integers(1, 3)) - draw(st.sampled_from([0, 0.5]))
+            height = draw(st.integers(1, 2)) - draw(st.sampled_from([0, 0.5]))
+            terms.append(f"within(location, bbox({x}, {y}, {x + width}, "
+                         f"{y + height}))")
     joiner = draw(st.sampled_from([" and ", " or "]))
     clause = joiner.join(terms)
     if draw(st.booleans()):
@@ -115,22 +135,11 @@ def queries(draw):
     return text
 
 
-def answers(db, text):
-    """(column answer, row answer) for one query, byte-comparable."""
-    out = []
-    for engine in (QueryEngine(db), QueryEngine(db, use_columns=False)):
-        result = engine.execute(MIX_SCHEMA, parse_query(text))
-        out.append((result.oids(), result.rows,
-                    result.report["candidates"]))
-    return out
-
-
-@settings(max_examples=60, deadline=None)
-@given(rows=rows_strategy, text=queries())
-def test_columns_equal_rows(rows, text):
-    db = make_db(rows)
-    column_answer, row_answer = answers(db, text)
-    assert column_answer == row_answer
+def routes(db, query):
+    """(route name, result): the engine's plan, and a scenario with an
+    empty overlay, which selects over a transient batch."""
+    yield "engine", QueryEngine(db).execute(MIX_SCHEMA, query)
+    yield "scenario", db.scenario(MIX_SCHEMA).execute(query)
 
 
 def comparable(query, result_objects, rows):
@@ -148,6 +157,23 @@ EXAMPLE_ROWS = [("ash", 5, True), ("beech", None, True), ("cedar", 5, False),
                 ("ash/2", -3, True), ("beech", 12, True), ("ash", None, False),
                 ("cedar", 40, True), ("ash", 0, True)]
 
+#: enough located rows that the R-tree splits, so its search order is
+#: not extent order
+INDEX_ROWS = [(["ash", "beech", "cedar", "ash/2"][i % 4],
+               (i * 7) % 23 - 10 if i % 5 else None, i % 9 != 4)
+              for i in range(30)]
+
+WINDOW = "within(location, bbox(0, 0, 3.5, 3.5))"
+
+#: fixed examples the planner answers with R-tree scans on INDEX_ROWS,
+#: alone and in the mixed closure
+INDEX_EXAMPLES = [
+    f"select * from Feature where {WINDOW}",
+    "select oid, name, size from Feature where size > -5 and "
+    "within(location, bbox(-1, -1, 3, 2)) order by size limit 4",
+    f"select {AGGREGATES} from Feature where name != 'beech' and {WINDOW}",
+]
+
 
 @settings(max_examples=60, deadline=None)
 @given(rows=rows_strategy, text=queries())
@@ -158,35 +184,55 @@ EXAMPLE_ROWS = [("ash", 5, True), ("beech", None, True), ("cedar", 5, False),
               "order by desc size limit 4")
 @example(rows=EXAMPLE_ROWS,
          text=f"select {AGGREGATES} from Feature where size >= 0")
+@example(rows=INDEX_ROWS, text=INDEX_EXAMPLES[0])
+@example(rows=INDEX_ROWS, text=INDEX_EXAMPLES[1])
+@example(rows=INDEX_ROWS, text=INDEX_EXAMPLES[2])
 def test_every_route_equals_reference(rows, text):
-    """Columnar and row routes, on one class and on a mixed closure,
-    all answer like the naive reference evaluator — order, membership,
-    rows and aggregates."""
+    """The engine's plans and the scenario route, on one class and on a
+    mixed closure, all answer like the naive reference evaluator —
+    order, membership, rows and aggregates."""
     for mixed in (False, True):
         db = make_db(rows, mixed=mixed)
         query = parse_query(text + " including subclasses" if mixed
                             else text)
         expected = comparable(query,
                               *_reference.evaluate(db, MIX_SCHEMA, query))
-        for engine in (QueryEngine(db), QueryEngine(db, use_columns=False)):
-            result = engine.execute(MIX_SCHEMA, query)
-            assert len(result.report["plans"]) == (2 if mixed else 1)
+        for route, result in routes(db, query):
+            if route == "engine":
+                assert len(result.report["plans"]) == (2 if mixed else 1)
             assert comparable(query, result.objects, result.rows) \
-                == expected, (mixed, engine.use_columns)
+                == expected, (mixed, route)
 
 
-@settings(max_examples=60, deadline=None)
-@given(rows=rows_strategy, text=queries())
-def test_unordered_membership_is_extent_order(rows, text):
-    """Unordered columnar results keep extent order, like the row path."""
+@pytest.mark.parametrize("text", INDEX_EXAMPLES)
+def test_fixed_examples_plan_index_scans(text):
+    """The fixed R-tree examples above really reach index scans (in the
+    mixed closure, for at least one of the two classes)."""
+    for mixed in (False, True):
+        query = parse_query(text + " including subclasses" if mixed
+                            else text)
+        result = QueryEngine(make_db(INDEX_ROWS, mixed=mixed)).execute(
+            MIX_SCHEMA, query)
+        assert INDEX_SCAN in [plan["plan"] for plan in result.report["plans"]]
+
+
+def check_extent_order(rows, text) -> None:
     db = make_db(rows)
-    engine = QueryEngine(db)
-    result = engine.execute(MIX_SCHEMA, parse_query(text))
+    result = QueryEngine(db).execute(MIX_SCHEMA, parse_query(text))
     extent_order = {oid: i for i, oid in
                     enumerate(db.extent(MIX_SCHEMA, MIX_CLASS).oids())}
     if "order by" not in text and result.rows is None:
         positions = [extent_order[oid] for oid in result.oids()]
         assert positions == sorted(positions)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=rows_strategy, text=queries())
+@example(rows=INDEX_ROWS, text=INDEX_EXAMPLES[0])
+def test_unordered_membership_is_extent_order(rows, text):
+    """Unordered results keep extent order whatever the plan: an R-tree
+    scan's hits are sorted into row order, not left in search order."""
+    check_extent_order(rows, text)
 
 
 @settings(max_examples=40, deadline=None)
@@ -207,8 +253,10 @@ def test_commit_invalidation_never_stale(rows, text, new_size, deletes):
             txn.update(oids[1], {"size": new_size})
         txn.insert(MIX_SCHEMA, MIX_CLASS, {"name": "fresh",
                                            "size": new_size})
-    column_answer, row_answer = answers(db, text)
-    assert column_answer == row_answer
+    query = parse_query(text)
+    result = engine.execute(MIX_SCHEMA, query)
+    assert comparable(query, result.objects, result.rows) == comparable(
+        query, *_reference.evaluate(db, MIX_SCHEMA, query))
     # And the fresh insert is actually visible through the columns.
     visible = QueryEngine(db).execute(
         MIX_SCHEMA, parse_query("select * from Feature where name = 'fresh'"))
@@ -226,6 +274,12 @@ ORACLE_CLASSES = (MIX_CLASS, SUBCLASS)
 WARM_PATHS = [("name", MIX_CLASS), ("size", MIX_CLASS),
               ("spec.grade", MIX_CLASS), ("size", SUBCLASS)]
 
+#: (path, query class) columns added lazily while the oracle runs: from
+#: inside every commit, while its batch applies, and after every other
+#: batch; only the ones added between batches may stay in a set
+LAZY_PATHS = [("weight", MIX_CLASS), ("spec.span", MIX_CLASS),
+              ("parent", MIX_CLASS)]
+
 #: a ``parent`` pick that names no object: the commit fails integrity
 GHOST = 9
 
@@ -242,16 +296,32 @@ def oracle_schema():
 
 
 def warm(db) -> None:
-    """Build both classes' sets with every :data:`WARM_PATHS` column, the
-    location geometry/bbox columns and the ``oid -> row`` map."""
+    """Build both classes' sets with every :data:`WARM_PATHS` column and
+    the ``oid -> row`` map; the location columns stay lazy."""
     schema = db.get_schema_object(MIX_SCHEMA)
     for class_name in ORACLE_CLASSES:
         columns = db.column_cache.for_class(MIX_SCHEMA, class_name)
         for path, query_class in WARM_PATHS:
             if query_class in (MIX_CLASS, class_name):
                 columns.path_column(path, schema.get_class(query_class))
-        columns.geometry_column("location")
         assert columns.row_of is not None
+
+
+def add_lazy_columns(db, kept: bool) -> None:
+    """Add every :data:`LAZY_PATHS` column and the location geometry and
+    bbox columns to the cached sets, as a scan would; ``kept``: assert
+    they stay (no commit is applying)."""
+    schema = db.get_schema_object(MIX_SCHEMA)
+    for class_name in ORACLE_CLASSES:
+        columns = db.column_cache._cache.get((MIX_SCHEMA, class_name))
+        if columns is None:
+            continue
+        for path, query_class in LAZY_PATHS:
+            columns.path_column(path, schema.get_class(query_class))
+        columns.geometry_column("location")
+        if kept:
+            assert set(LAZY_PATHS) <= set(columns._paths)
+            assert set(columns._geometry) == {"location"}
 
 
 def typed(column) -> list:
@@ -281,12 +351,12 @@ def assert_patched_equals_fresh(db) -> None:
         for (path, query_class), (__, column) in cached._paths.items():
             expected = fresh.path_column(path, schema.get_class(query_class))
             assert typed(column) == typed(expected), (class_name, path)
-        assert set(cached._geometry) == {"location"}
-        geoms, boxes = cached._geometry["location"]
-        fresh_geoms, fresh_boxes = fresh.geometry_column("location")
-        assert len(geoms) == len(fresh_geoms)
-        assert all(a is b for a, b in zip(geoms, fresh_geoms))
-        assert boxes == fresh_boxes
+        assert set(cached._geometry) <= {"location"}
+        for attr, (geoms, boxes) in cached._geometry.items():
+            fresh_geoms, fresh_boxes = fresh.geometry_column(attr)
+            assert len(geoms) == len(fresh_geoms)
+            assert all(a is b for a, b in zip(geoms, fresh_geoms))
+            assert boxes == fresh_boxes
 
 
 names = st.sampled_from(["ash", "beech", "cedar"])
@@ -370,8 +440,13 @@ def _stage(txn, op, live: list) -> None:
 
 def apply_schedule(leader, follower, schedule) -> None:
     """Run ``schedule`` on the leader, then ship each batch to the
-    follower; both caches must equal fresh builds after every batch."""
-    for route, ops in schedule:
+    follower; both caches must equal fresh builds after every batch.
+
+    Each leader commit's log barrier — inside the batch, seqlock odd —
+    first adds the lazy columns, standing in for a scan that meets the
+    applying commit; after every other batch they are added for good.
+    """
+    for i, (route, ops) in enumerate(schedule):
         live = [oid for class_name in ORACLE_CLASSES
                 for oid in leader.extent(MIX_SCHEMA, class_name).oids()]
         txn = leader.transaction()
@@ -380,10 +455,15 @@ def apply_schedule(leader, follower, schedule) -> None:
                 _stage(txn, op, live)
             except (ObjectNotFoundError, TransactionError):
                 pass        # a pick the batch already deleted
-        if route == "log_failure":
-            def failing_barrier(*args, **kwargs):
+        log_commit = leader.wal.log_commit
+
+        def barrier(*args, route=route, log_commit=log_commit, **kwargs):
+            add_lazy_columns(leader, kept=False)
+            if route == "log_failure":
                 raise WALError("injected log failure")
-            leader.wal.log_commit = failing_barrier
+            return log_commit(*args, **kwargs)
+
+        leader.wal.log_commit = barrier
         try:
             txn.commit()
         except (TransactionError, WALError):
@@ -393,6 +473,9 @@ def apply_schedule(leader, follower, schedule) -> None:
         assert_patched_equals_fresh(leader)
         follower.poll_replication()
         assert_patched_equals_fresh(follower)
+        if i % 2:
+            add_lazy_columns(leader, kept=True)
+            add_lazy_columns(follower, kept=True)
 
 
 def make_leader(heap, log):
@@ -444,9 +527,13 @@ def check_schedule(schedule) -> None:
              for obj in leader.extent(MIX_SCHEMA, class_name)}
 
 
-#: every route once: several inserts, insert+update, update+delete, a
-#: cross-class delete+re-insert, a rolled-back delete, a refused commit
+#: every route once: a rolled-back update of lazily added paths, several
+#: inserts, insert+update, update+delete, a cross-class delete+re-insert,
+#: a rolled-back delete, a refused commit
 FIXED_SCHEDULE = [
+    ("log_failure", [("update", 1, {"location": Point(9.0, 9.0),
+                                    "spec": {"grade": "cedar", "span": 3},
+                                    "parent": 2})]),
     ("commit", [("insert", False, {"name": "ash", "size": 1}),
                 ("insert", True, {"name": "beech",
                                   "location": Point(2.0, 2.0)}),
@@ -484,15 +571,153 @@ def _appending_deletes(real_patched):
     return patched
 
 
-@pytest.mark.parametrize("bug", ["skip bbox columns", "append deletes"])
+def _keeping_in_flight(real_resolve):
+    def resolve(self, accessor):
+        values, __ = real_resolve(self, accessor)
+        return values, True
+    return resolve
+
+
+@pytest.mark.parametrize("bug", ["skip bbox columns", "append deletes",
+                                 "keep in-flight lazy columns"])
 def test_oracle_catches_a_seeded_patch_bug(bug, monkeypatch):
     """The oracle is falsifiable: each deliberately broken patch makes
     the fixed schedule fail it."""
     if bug == "skip bbox columns":
         monkeypatch.setattr(ClassColumns, "advance",
                             _skip_bbox_patch(ClassColumns.advance))
-    else:
+    elif bug == "append deletes":
         monkeypatch.setattr(columns_module, "_patched",
                             _appending_deletes(columns_module._patched))
+    else:
+        monkeypatch.setattr(ClassColumns, "_resolve",
+                            _keeping_in_flight(ClassColumns._resolve))
     with pytest.raises(AssertionError):
         check_schedule(FIXED_SCHEDULE)
+
+
+def test_lazy_column_of_a_rolled_back_commit_does_not_stay():
+    """The rollback probe: a scan adds a lazy column while a commit
+    whose log barrier fails is applying; afterwards the columns answer
+    like the reference, not with the rolled-back value."""
+    leader = make_leader(MemoryPager(), MemoryPager())
+    oid = leader.insert(MIX_SCHEMA, MIX_CLASS, {"name": "ash", "size": 1})
+    feature = leader.get_schema_object(MIX_SCHEMA).get_class(MIX_CLASS)
+    columns = leader.column_cache.for_class(MIX_SCHEMA, MIX_CLASS)
+
+    def failing_barrier(*args, **kwargs):
+        columns.path_column("size", feature)
+        raise WALError("injected log failure")
+
+    leader.wal.log_commit = failing_barrier
+    with pytest.raises((TransactionError, WALError)):
+        with leader.transaction() as txn:
+            txn.update(oid, {"size": 99})
+    del leader.wal.log_commit
+    query = parse_query("select * from Feature where size = 99")
+    expected, __ = _reference.evaluate(leader, MIX_SCHEMA, query)
+    assert expected == []
+    assert QueryEngine(leader).execute(MIX_SCHEMA, query).oids() == []
+
+
+# ---------------------------------------------------------------------------
+# index scans: hits and column set from one commit state
+# ---------------------------------------------------------------------------
+
+
+def check_index_scan_meets_paused_commit(monkeypatch) -> None:
+    """An R-tree scan that meets an applying commit answers at one
+    commit state.
+
+    The commit moves a row out of the window and another into it, and
+    pauses after the first move: the R-tree already changed, the class
+    version has not. The scan takes the cached set, waits for the
+    commit on its probe, and must then fetch the set again, because its
+    hits are from the newer state.
+    """
+    db = make_db(INDEX_ROWS)
+    engine = QueryEngine(db)
+    query = parse_query(INDEX_EXAMPLES[0])
+    before = engine.execute(MIX_SCHEMA, query)   # warm set + geometry
+    assert before.report["plan"] == INDEX_SCAN
+    leaving = before.oids()[0]
+    entering = next(obj.oid for obj in db.extent(MIX_SCHEMA, MIX_CLASS)
+                    if obj.get("location") is not None
+                    and obj.oid not in before.oids())
+    applying, release = threading.Event(), threading.Event()
+    real_update = GeographicDatabase._apply_update
+
+    def paused_update(database, *args, **kwargs):
+        out = real_update(database, *args, **kwargs)
+        if not applying.is_set():
+            applying.set()
+            release.wait(10)
+        return out
+
+    monkeypatch.setattr(GeographicDatabase, "_apply_update", paused_update)
+
+    def commit():
+        with db.transaction() as txn:
+            txn.update(leaving, {"location": Point(6.0, 4.0)})
+            txn.update(entering, {"location": Point(1.5, 1.5)})
+
+    results = []
+    writer = threading.Thread(target=commit)
+    reader = threading.Thread(target=lambda: results.append(
+        engine.execute(MIX_SCHEMA, query)))
+    writer.start()
+    try:
+        assert applying.wait(10)
+        reader.start()
+        reader.join(0.2)
+        assert reader.is_alive()        # waiting for the commit
+    finally:
+        release.set()
+        writer.join(10)
+        if reader.ident is not None:
+            reader.join(10)
+    (result,) = results
+    expected, __ = _reference.evaluate(db, MIX_SCHEMA, query)
+    assert result.oids() == [obj.oid for obj in expected]
+    assert entering in result.oids() and leaving not in result.oids()
+    assert db.column_cache.builds == 1
+
+
+def test_index_scan_meets_a_paused_commit(monkeypatch):
+    check_index_scan_meets_paused_commit(monkeypatch)
+
+
+def _probe_without_version_check(self, schema_name, class_plan, prefilter,
+                                 equality):
+    db, class_name = self.database, class_plan.class_name
+    columns = db.column_cache.for_class(schema_name, class_name)
+    attr, box = prefilter
+    hits = db._read_stable(lambda: db.spatial_index(
+        schema_name, class_name, attr).search(box))
+    return columns, sorted(columns.row_of[oid] for oid in hits
+                           if oid in columns.row_of)
+
+
+def _probe_in_rtree_order(self, schema_name, class_plan, prefilter,
+                          equality):
+    db, class_name = self.database, class_plan.class_name
+    columns = db.column_cache.for_class(schema_name, class_name)
+    attr, box = prefilter
+    return columns, [columns.row_of[oid] for oid in db.spatial_index(
+        schema_name, class_name, attr).search(box)]
+
+
+@pytest.mark.parametrize("bug", ["no version check", "rtree order"])
+def test_index_scan_oracles_catch_a_seeded_bug(bug, monkeypatch):
+    """Each deliberately broken index-scan selection fails its oracle:
+    hits taken without the version check mix two commit states, and
+    hits left in R-tree order are not extent order."""
+    if bug == "no version check":
+        monkeypatch.setattr(QueryEngine, "_probe_rows",
+                            _probe_without_version_check)
+        with pytest.raises(AssertionError):
+            check_index_scan_meets_paused_commit(monkeypatch)
+    else:
+        monkeypatch.setattr(QueryEngine, "_probe_rows", _probe_in_rtree_order)
+        with pytest.raises(AssertionError):
+            check_extent_order(INDEX_ROWS, INDEX_EXAMPLES[0])
