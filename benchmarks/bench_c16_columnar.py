@@ -29,6 +29,12 @@ net sized so scans dominate:
   a whole-class rebuild to the scan.
 * **STR bulk load** — packing an R-tree from the extent's entries
   versus the per-entry insert loop. Gate: bulk load is not slower.
+* **windowed count** — ``select count(*)`` of Pole ``within`` and
+  Cable ``intersects`` map windows of 2–4% of the net's area, the probe
+  shape every analysis-mode viewport sends. The columnar side runs the
+  engine's plan (an R-tree scan whose candidates the rectangle kernel
+  decides from coordinates); the object scan judges every object with
+  ``relate``. Recorded, with byte-identical answers; no gate.
 
 Full mode repeats the whole measurement five times: every gate judges
 the median ratio, and ``BENCH_C16.json`` at the repo root records each
@@ -42,7 +48,9 @@ object scan" and skips the amortization, post-commit and bulk-load gates.
 Byte-identity holds in both modes.
 """
 
+import math
 import os
+import random
 import statistics
 import time
 from typing import Any
@@ -90,6 +98,28 @@ MIX = [
 ]
 
 AMORTIZE = MIX[0][1]
+
+#: windows per class for the windowed count, each 2–4% of the net's area
+WINDOWS = 4 if QUICK else 12
+
+
+def windowed_queries() -> list[str]:
+    """Seeded ``count(*)`` texts: Pole ``within`` and Cable
+    ``intersects`` windows, each covering 2–4% of the net's area."""
+    rng = random.Random(16)
+    width, height = PARAMS.extent
+    texts = []
+    for __ in range(WINDOWS):
+        for template in (
+                "select count(*) from Pole where within(pole_location, {})",
+                "select count(*) from Cable where intersects(cable_route, "
+                "{})"):
+            side = math.sqrt(rng.uniform(0.02, 0.04) * width * height)
+            x = rng.uniform(0.0, width - side)
+            y = rng.uniform(0.0, height - side)
+            texts.append(template.format(
+                f"bbox({x:.2f}, {y:.2f}, {x + side:.2f}, {y + side:.2f})"))
+    return texts
 
 
 def build_db():
@@ -154,9 +184,23 @@ def check_byte_identical(db) -> None:
                f"result drift on: {text}"
 
 
-def bench_cold_mix(db) -> dict[str, float]:
-    """Seconds per full mix pass: column kernels vs the object scan."""
-    queries = [parse_query(text) for __, text in MIX]
+def check_windowed_identical(db) -> None:
+    """Every windowed count answers identically on both sides (oids and
+    rows; the R-tree plan examines fewer candidates by design)."""
+    columns = QueryEngine(db)
+    objects = ObjectScan(db)
+    for text in windowed_queries():
+        query = parse_query(text)
+        a = columns.execute(SCHEMA, query)
+        b = objects.execute(SCHEMA, query)
+        assert (a.oids(), a.rows) == (b.oids(), b.rows), \
+            f"result drift on: {text}"
+
+
+def bench_queries(db, texts: list[str]) -> dict[str, float]:
+    """Seconds per pass over ``texts``: column kernels vs the object
+    scan."""
+    queries = [parse_query(text) for text in texts]
     columns = QueryEngine(db)
     rows = ObjectScan(db)
 
@@ -260,11 +304,12 @@ def run_metrics_sample(db) -> None:
 
 
 def measure(db) -> dict[str, float]:
-    """One whole measurement: every timing and the four ratios."""
-    mix = bench_cold_mix(db)
+    """One whole measurement: every timing and ratio."""
+    mix = bench_queries(db, [text for __, text in MIX])
     amortize = bench_amortization(db)
     post_commit = bench_post_commit(db)
     bulk = bench_bulk_load(db)
+    windowed = bench_queries(db, windowed_queries())
     return {
         "rows_s": mix["rows"], "columns_s": mix["columns"],
         **amortize, **post_commit,
@@ -276,6 +321,9 @@ def measure(db) -> dict[str, float]:
         "post_commit_ratio": (post_commit["post_commit_scan"]
                               / post_commit["post_commit_warm_scan"]),
         "bulk_speedup": bulk["insert_s"] / bulk["bulk_s"],
+        "windowed_rows_s": windowed["rows"],
+        "windowed_columns_s": windowed["columns"],
+        "windowed_speedup": windowed["rows"] / windowed["columns"],
     }
 
 
@@ -283,13 +331,15 @@ def test_c16_columnar(capsys):
     db = build_db()
     pole_count = db.count(SCHEMA, "Pole")
     check_byte_identical(db)
+    check_windowed_identical(db)
     runs = [measure(db) for __ in range(REPEATS)]
     #: per-key median over the runs (timings and ratios alike)
     med = {key: statistics.median(run[key] for run in runs)
            for key in runs[0]}
     spread = {key: median_iqr([run[key] for run in runs])
               for key in ("mix_speedup", "first_ratio", "warm_speedup",
-                          "post_commit_ratio", "bulk_speedup")}
+                          "post_commit_ratio", "bulk_speedup",
+                          "windowed_speedup")}
     mix_speedup = med["mix_speedup"]
     first_ratio = med["first_ratio"]
     bulk_speedup = med["bulk_speedup"]
@@ -311,6 +361,10 @@ def test_c16_columnar(capsys):
         [f"rtree build ({int(med['entries'])} entries)",
          f"{med['insert_s'] * 1e3:.2f}ms", f"{med['bulk_s'] * 1e3:.2f}ms",
          f"{bulk_speedup:.2f}x faster"],
+        [f"windowed count ({2 * WINDOWS} queries)",
+         f"{med['windowed_rows_s'] * 1e3:.2f}ms",
+         f"{med['windowed_columns_s'] * 1e3:.2f}ms",
+         f"{med['windowed_speedup']:.2f}x faster"],
     ]
 
     payload: dict[str, Any] = {
@@ -335,6 +389,11 @@ def test_c16_columnar(capsys):
                       "insert_s": med["insert_s"],
                       "bulk_s": med["bulk_s"],
                       "speedup": spread["bulk_speedup"]},
+        "windowed_count": {"queries": 2 * WINDOWS,
+                           "area_share": [0.02, 0.04],
+                           "rows_s": med["windowed_rows_s"],
+                           "columns_s": med["windowed_columns_s"],
+                           "speedup": spread["windowed_speedup"]},
         "gates": {"judged_on": "median",
                   "cold_mix_speedup_min": 3.0,
                   "first_scan_ratio_max": 2.0,

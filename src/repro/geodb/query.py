@@ -24,7 +24,14 @@ Each predicate has one evaluator per access shape:
   :class:`~repro.geodb.instances.GeoObject`: comparisons run as list
   comprehensions over pre-resolved value columns, conjunctions narrow
   the row list term by term, and spatial predicates reject on a packed
-  bbox column before evaluating any geometry.
+  bbox column before evaluating any geometry. That pre-filter, and the
+  index-scan window of :meth:`Predicate.spatial_prefilter`, is the
+  probe's bbox widened by its boundary band
+  (:func:`~repro.spatial.topology.boundary_band`), because ``relate``
+  counts a point just outside an edge as on it. Against a rectangle
+  probe (``bbox(...)``), :func:`~repro.spatial.topology.rectangle_relater`
+  then decides point and line-string rows from their coordinates, and
+  only rows within a margin of an edge run ``relate``.
 * :meth:`Predicate.matches` judges **one object** — live-query
   membership of a written object, the base ``compile_columns`` fallback
   for predicate subclasses that define no kernel, and the reference
@@ -36,11 +43,13 @@ Each predicate has one evaluator per access shape:
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable, Iterable
 
 from ..errors import QueryError
 from ..spatial.geometry import BBox, Geometry
-from ..spatial.topology import PREDICATES
+from ..spatial.topology import (HOLDS, PREDICATES, boundary_band,
+                                 rectangle_relater)
 from ..spatial.algorithms import geometry_distance
 from .instances import GeoObject
 from .schema import GeoClass
@@ -199,15 +208,34 @@ _OPS: dict[str, Callable[[Any, Any], bool]] = {
 }
 
 
-def _bbox_overlap_kernel(boxes, min_x, min_y, max_x, max_y):
-    """``rows -> rows`` whose packed bbox interacts with the window.
+def _contact_window(probe: Geometry) -> BBox:
+    """The probe's bbox widened by its boundary band: every geometry
+    :func:`~repro.spatial.topology.relate` finds in contact with the
+    probe has a bbox that meets it (infinite for a probe with a
+    zero-length edge, which every point touches)."""
+    return probe.bbox().expanded(boundary_band(probe))
+
+
+def _contact_prefilter(attr: str, probe: Geometry) -> tuple[str, BBox] | None:
+    """``(attr, contact window)`` for an index probe, or None when the
+    window is unbounded."""
+    window = _contact_window(probe)
+    if math.isinf(window.max_x - window.min_x):
+        return None
+    return (attr, window)
+
+
+def _bbox_overlap_kernel(boxes, window: BBox):
+    """``rows -> rows`` whose packed bbox interacts with ``window``.
 
     Conservative pre-reject for contact-requiring spatial kernels: a
     geometry can only satisfy such a relation when its bounds touch the
-    probe bounds (inclusive edges), so dropping the rest never changes
-    the answer. Rows without a geometry (``box is None``) are dropped
+    window (inclusive edges), so dropping the rest never changes the
+    answer. Rows without a geometry (``box is None``) are dropped
     too — ``matches`` returns False for them unconditionally.
     """
+    min_x, min_y = window.min_x, window.min_y
+    max_x, max_y = window.max_x, window.max_y
 
     def pre(rows):
         return [
@@ -362,20 +390,27 @@ class SpatialPredicate(Predicate):
                 i for i in rows
                 if boxes[i] is not None and relation(geoms[i], probe)
             ]
-        pbox = probe.bbox()
-        pre = _bbox_overlap_kernel(boxes, pbox.min_x, pbox.min_y,
-                                   pbox.max_x, pbox.max_y)
-
-        def kernel(rows):
-            return [i for i in pre(rows) if relation(geoms[i], probe)]
-
-        return kernel
+        pre = _bbox_overlap_kernel(boxes, _contact_window(probe))
+        decide = rectangle_relater(probe)
+        if decide is None:
+            return lambda rows: [i for i in pre(rows)
+                                 if relation(geoms[i], probe)]
+        # A rectangle window: coordinates decide most rows, and only
+        # the ones near an edge (decide -> None) run ``relate``.
+        holds = HOLDS[self.relation]
+        return lambda rows: [
+            i for i in pre(rows)
+            if (relation(geom, probe)
+                if (rel := decide(geom := geoms[i])) is None
+                else rel in holds)
+        ]
 
     def spatial_prefilter(self) -> tuple[str, BBox] | None:
-        # Everything but 'disjoint' implies bbox interaction with the probe.
+        # Everything but 'disjoint' implies contact with the probe's
+        # bbox widened by its boundary band.
         if self.relation == "disjoint":
             return None
-        return (self.attr, self.probe.bbox())
+        return _contact_prefilter(self.attr, self.probe)
 
     def describe(self) -> str:
         return f"{self.relation}({self.attr}, {self.probe.wkt()})"
@@ -428,9 +463,7 @@ class RelateMask(Predicate):
         # bounds — the same condition spatial_prefilter() uses.
         if self.spatial_prefilter() is None:
             return exact
-        pbox = probe.bbox()
-        pre = _bbox_overlap_kernel(boxes, pbox.min_x, pbox.min_y,
-                                   pbox.max_x, pbox.max_y)
+        pre = _bbox_overlap_kernel(boxes, _contact_window(probe))
         return lambda rows: exact(pre(rows))
 
     def spatial_prefilter(self) -> tuple[str, BBox] | None:
@@ -439,7 +472,7 @@ class RelateMask(Predicate):
         # prefiltered safely.
         requires_contact = any(c == "T" for c in self.mask[:2] + self.mask[3:5])
         if requires_contact:
-            return (self.attr, self.probe.bbox())
+            return _contact_prefilter(self.attr, self.probe)
         return None
 
     def describe(self) -> str:
@@ -470,9 +503,7 @@ class WithinDistance(Predicate):
         # Bounds further than `radius` from the probe bounds (per axis)
         # cannot hold a geometry within `radius` — the same expansion
         # the R-tree prefilter uses.
-        pbox = probe.bbox().expanded(radius)
-        pre = _bbox_overlap_kernel(boxes, pbox.min_x, pbox.min_y,
-                                   pbox.max_x, pbox.max_y)
+        pre = _bbox_overlap_kernel(boxes, probe.bbox().expanded(radius))
 
         def kernel(rows):
             return [

@@ -54,6 +54,10 @@ from .router import ClientState, Router
 
 _conn_ids = __import__("itertools").count(1)
 
+#: seconds :meth:`GISServer.stop` waits for serve tasks to finish their
+#: own teardown before it cancels the rest
+STOP_GRACE_S = 5.0
+
 
 class _Connection:
     """Loop-side bookkeeping for one client connection."""
@@ -140,15 +144,21 @@ class GISServer:
             self._server = None
         for conn in list(self._connections):
             await self._close_connection(conn)
-        # Serve tasks notice their closed sockets and finish; await them
-        # (including ones already mid-teardown after a client-initiated
-        # disconnect) so the loop shuts down without destroying pending
-        # tasks.
+        # Every socket is closed now, so each serve task's read loop ends
+        # at its next read, and a task already tearing its connection
+        # down (a client that left as the server stopped) finishes that
+        # teardown, session release included. Await them rather than
+        # cancel them: a cancel would cut a teardown short mid-await and
+        # end its task cancelled. Only a task still running after the
+        # grace period (a read loop stuck on a full outbound queue) is
+        # cancelled.
         tasks = [t for t in self._serve_tasks if not t.done()]
-        for task in tasks:
-            task.cancel()
         if tasks:
-            await asyncio.gather(*tasks, return_exceptions=True)
+            __, pending = await asyncio.wait(tasks, timeout=STOP_GRACE_S)
+            for task in pending:
+                task.cancel()
+            if pending:
+                await asyncio.gather(*pending, return_exceptions=True)
 
     @property
     def address(self) -> tuple[str, int]:
@@ -282,10 +292,8 @@ class GISServer:
         finally:
             # Session teardown touches the kernel → run off-loop like
             # any other kernel operation. Idempotent against
-            # close_session races. run_in_executor submits before its
-            # first await, so even if this task is cancelled mid-close
-            # (server stop racing a client disconnect) the sessions
-            # still get released by the pool thread.
+            # close_session races. stop() awaits a teardown in flight,
+            # so the sessions are released before the server stops.
             loop = self._loop
             if loop is not None:
                 await loop.run_in_executor(None, conn.state.close_sessions)

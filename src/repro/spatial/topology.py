@@ -14,16 +14,28 @@ polygon type lattice: vertex-in-interior tests, segment-intersection tests
 and boundary-membership tests. Multi-geometries are handled by reduction
 over their members. This is exact for simple (non-self-intersecting)
 inputs, which is what the data generators produce and what the constraint
-layer checks.
+layer checks. Boundary membership has an ``EPSILON`` band, so a point
+just off an edge is on it; :func:`boundary_band` bounds how far outside
+a geometry's bbox that reaches.
+
+:func:`relate` is the only definition of these semantics.
+:func:`rectangle_relater` is a fast path for the probe shape map windows
+send, an axis-aligned rectangle: it decides point and line-string rows
+from coordinates where they lie beyond a margin of every edge, and
+answers "ask :func:`relate`" for the rest. :data:`HOLDS` maps a relation
+to the named predicates it satisfies, for the boolean wrappers and the
+fast path alike.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from enum import Enum
 
 from ..errors import GeometryError
 from .algorithms import (
+    _boundary_segments,
     geometry_distance,
     orientation,
     segment_intersection_point,
@@ -435,45 +447,221 @@ def _relate_multi(a: Geometry, b: Geometry) -> Relation:
     return Relation.OVERLAPS
 
 
+# Rectangle windows ------------------------------------------------------------
+
+#: How far beyond the ``EPSILON`` boundary bands a coordinate must sit,
+#: as a multiple of ``EPSILON``, before :func:`rectangle_relater`
+#: decides it without :func:`relate`.
+MARGIN_FACTOR = 1e3
+
+
+def _rectangle(probe: Geometry) -> tuple[float, float, float, float] | None:
+    """``(min_x, min_y, max_x, max_y)`` of a hole-free polygon whose four
+    vertices are the corners of its bbox in ring order (what
+    :meth:`Polygon.from_bbox` builds), else None."""
+    if type(probe) is not Polygon or probe.holes:
+        return None
+    coords = probe.exterior.coords
+    if len(coords) != 4 or len(set(coords)) != 4:
+        return None
+    box = probe.bbox()
+    corners = {(box.min_x, box.min_y), (box.max_x, box.min_y),
+               (box.max_x, box.max_y), (box.min_x, box.max_y)}
+    if set(coords) != corners:
+        return None
+    # Adjacent vertices share one coordinate: a rectangle, not a bow tie.
+    for (ax, ay), (bx, by) in zip(coords, coords[1:] + coords[:1]):
+        if (ax == bx) == (ay == by):
+            return None
+    return box.min_x, box.min_y, box.max_x, box.max_y
+
+
+def _clip(ax: float, ay: float, bx: float, by: float, x0: float, y0: float,
+          x1: float, y1: float) -> bool:
+    """Whether segment AB meets the closed box (Liang–Barsky)."""
+    dx, dy = bx - ax, by - ay
+    t0, t1 = 0.0, 1.0
+    for p, q in ((-dx, ax - x0), (dx, x1 - ax), (-dy, ay - y0),
+                 (dy, y1 - ay)):
+        if p == 0.0:
+            if q < 0.0:
+                return False
+            continue
+        t = q / p
+        if p < 0.0:
+            if t > t1:
+                return False
+            if t > t0:
+                t0 = t
+        else:
+            if t < t0:
+                return False
+            if t < t1:
+                t1 = t
+    return True
+
+
+def boundary_band(geom: Geometry) -> float:
+    """How far outside ``geom``'s bbox :func:`relate` can still find a
+    point on ``geom``'s boundary.
+
+    :func:`~repro.spatial.geometry._point_on_segment` counts a point as
+    on an edge of length ``L`` up to ``EPSILON * max(1, 1/L)`` across
+    it and ``EPSILON / L`` past its ends, so along either axis the band
+    reaches at most twice ``EPSILON * max(1, 1/L)`` for the shortest
+    edge; the result doubles that again for rounding. A geometry
+    without edges (a point) gets ``4 * EPSILON``, well past the
+    ``EPSILON`` at which two points are equal. A zero-length edge has
+    every point on it, so its band is infinite.
+    """
+    shortest = min((math.hypot(bx - ax, by - ay)
+                    for (ax, ay), (bx, by) in _boundary_segments(geom)),
+                   default=math.inf)
+    if shortest == 0.0:
+        return math.inf
+    return 4.0 * EPSILON * max(1.0, 1.0 / shortest)
+
+
+def rectangle_relater(probe: Geometry):
+    """A decider ``geom -> Relation | None`` for an axis-aligned
+    rectangle probe, or None when ``probe`` is no such rectangle.
+
+    The decider answers ``relate(geom, probe)`` for a :class:`Point` or
+    :class:`LineString` ``geom`` wherever coordinates alone settle it,
+    and returns None ("ask :func:`relate`") everywhere else. It never
+    returns ``TOUCHES``: the boundary is :func:`relate`'s to define.
+
+    "Clearly" means beyond a margin ``m`` from every edge. A point
+    counts as on an edge of length ``L`` when it is within
+    ``EPSILON * max(1, 1/L)`` across it or ``EPSILON / L`` past its
+    ends (:func:`~repro.spatial.geometry._point_on_segment`); ``m`` is
+    ``MARGIN_FACTOR`` times ``EPSILON * max(1, 1/min side)``, and at
+    least that multiple of ``EPSILON`` times the largest rectangle
+    coordinate, so the band, the rounding of its cross product and the
+    rounding of ``min_x + m`` all stay far inside it.
+
+    * A point more than ``m`` inside every edge is ``WITHIN``; more
+      than ``m`` outside one is ``DISJOINT``.
+    * A line string with every vertex ``m`` inside is ``WITHIN``. One
+      with a vertex or a segment reaching ``m`` inside (the clip of a
+      segment against the rectangle shrunk by ``m``) has an interior
+      point that :func:`relate`'s samples find; with a vertex ``m``
+      outside as well it is ``CROSSES``. One whose every segment misses
+      the rectangle grown by ``m`` is ``DISJOINT``. Line strings with a
+      coordinate so far out that rounding in the clip could approach
+      ``m`` go to :func:`relate`.
+    """
+    rect = _rectangle(probe)
+    if rect is None:
+        return None
+    x0, y0, x1, y1 = rect
+    margin = MARGIN_FACTOR * EPSILON * max(
+        1.0, 1.0 / min(x1 - x0, y1 - y0),
+        abs(x0), abs(y0), abs(x1), abs(y1))
+    ix0, iy0, ix1, iy1 = x0 + margin, y0 + margin, x1 - margin, y1 - margin
+    ox0, oy0, ox1, oy1 = x0 - margin, y0 - margin, x1 + margin, y1 + margin
+    # The clip's rounding error is a few ulps of the largest coordinate
+    # it meets; beyond this reach that could approach the margin.
+    reach = margin / (1024 * sys.float_info.epsilon)
+    within, crosses, disjoint = (Relation.WITHIN, Relation.CROSSES,
+                                 Relation.DISJOINT)
+
+    def decide(geom: Geometry) -> Relation | None:
+        kind = type(geom)
+        if kind is Point:
+            x, y = geom.x, geom.y
+            if ix0 < x < ix1 and iy0 < y < iy1:
+                return within
+            if x < ox0 or x > ox1 or y < oy0 or y > oy1:
+                return disjoint
+            return None
+        if kind is not LineString:
+            return None
+        inside = outside = False
+        every_inside = True
+        for x, y in geom.coords:
+            if ix0 < x < ix1 and iy0 < y < iy1:
+                inside = True
+                continue
+            every_inside = False
+            if abs(x) > reach or abs(y) > reach:
+                return None
+            if x < ox0 or x > ox1 or y < oy0 or y > oy1:
+                outside = True
+        if every_inside:
+            return within
+        if not inside:
+            segments = list(geom.segments())
+            inside = any(_clip(ax, ay, bx, by, ix0, iy0, ix1, iy1)
+                         for (ax, ay), (bx, by) in segments)
+            if not inside:
+                if any(_clip(ax, ay, bx, by, ox0, oy0, ox1, oy1)
+                       for (ax, ay), (bx, by) in segments):
+                    return None
+                return disjoint
+        return crosses if outside else None
+
+    return decide
+
+
 # Convenience boolean wrappers -------------------------------------------------
+
+#: The relations ``relate(a, b)`` under which each named predicate holds.
+#: ``covers`` also holds for some ``TOUCHES`` pairs, decided on the
+#: geometry (see :func:`covers`). ``covered_by(a, b)`` is
+#: ``covers(b, a)``, which reads ``relate(b, a)``; for a pair of
+#: different geometry types that is ``relate(a, b).inverse()``, so its
+#: entry lists the inverses of ``covers``'s.
+HOLDS = {
+    "equals": frozenset({Relation.EQUALS}),
+    "disjoint": frozenset({Relation.DISJOINT}),
+    "intersects": frozenset(Relation) - {Relation.DISJOINT},
+    "touches": frozenset({Relation.TOUCHES}),
+    "overlaps": frozenset({Relation.OVERLAPS}),
+    "crosses": frozenset({Relation.CROSSES}),
+    "within": frozenset({Relation.WITHIN, Relation.EQUALS}),
+    "contains": frozenset({Relation.CONTAINS, Relation.EQUALS}),
+    "covers": frozenset({Relation.CONTAINS, Relation.EQUALS}),
+    "covered_by": frozenset({Relation.WITHIN, Relation.EQUALS}),
+}
 
 
 def equals(a: Geometry, b: Geometry) -> bool:
-    return relate(a, b) is Relation.EQUALS
+    return relate(a, b) in HOLDS["equals"]
 
 
 def disjoint(a: Geometry, b: Geometry) -> bool:
-    return relate(a, b) is Relation.DISJOINT
+    return relate(a, b) in HOLDS["disjoint"]
 
 
 def intersects(a: Geometry, b: Geometry) -> bool:
-    return relate(a, b) is not Relation.DISJOINT
+    return relate(a, b) in HOLDS["intersects"]
 
 
 def touches(a: Geometry, b: Geometry) -> bool:
-    return relate(a, b) is Relation.TOUCHES
+    return relate(a, b) in HOLDS["touches"]
 
 
 def overlaps(a: Geometry, b: Geometry) -> bool:
-    return relate(a, b) is Relation.OVERLAPS
+    return relate(a, b) in HOLDS["overlaps"]
 
 
 def crosses(a: Geometry, b: Geometry) -> bool:
-    return relate(a, b) is Relation.CROSSES
+    return relate(a, b) in HOLDS["crosses"]
 
 
 def within(a: Geometry, b: Geometry) -> bool:
-    return relate(a, b) in (Relation.WITHIN, Relation.EQUALS)
+    return relate(a, b) in HOLDS["within"]
 
 
 def contains(a: Geometry, b: Geometry) -> bool:
-    return relate(a, b) in (Relation.CONTAINS, Relation.EQUALS)
+    return relate(a, b) in HOLDS["contains"]
 
 
 def covers(a: Geometry, b: Geometry) -> bool:
     """a covers b: no point of b is exterior to a (contains or touches-inside)."""
     rel = relate(a, b)
-    if rel in (Relation.CONTAINS, Relation.EQUALS):
+    if rel in HOLDS["covers"]:
         return True
     if rel is Relation.TOUCHES and isinstance(a, Polygon):
         return all(a.contains_point(x, y) for x, y in _sample_points(b))

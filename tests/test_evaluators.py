@@ -201,3 +201,26 @@ def test_phone_net_float_aggregates_equal_reference():
     assert len(matches) == 168
     assert QueryEngine(db).execute("phone_net", query).rows == expected
     assert db.scenario("phone_net").execute(query).rows == expected
+
+
+@pytest.mark.parametrize("where", [
+    "intersects(pole_location, {})", "touches(pole_location, {})",
+    "covered_by(pole_location, {})", "relate(pole_location, {}, '*T*******')",
+])
+def test_window_edge_band_probe_equals_reference(phone_db, where):
+    """A window whose left edge sits 5e-10 right of pole #10: relate()
+    counts the pole as on that edge, so it touches, intersects and is
+    covered by the window, and its interior meets the window's boundary.
+    The engine's plan and the scenario route keep it, because their
+    pre-filters widen the probe's bounds by its boundary band."""
+    pole = list(phone_db.extent("phone_net", "Pole"))[10]
+    x, y = pole.get("pole_location").as_tuple()
+    box = f"bbox({x + 5e-10!r}, {y - 1!r}, {x + 10!r}, {y + 1!r})"
+    query = parse_query(f"select * from Pole where {where.format(box)}")
+    expected = sorted(obj.oid for obj in
+                      _reference.evaluate(phone_db, "phone_net", query)[0])
+    assert pole.oid in expected
+    assert sorted(QueryEngine(phone_db).execute("phone_net", query).oids()) \
+        == expected
+    assert sorted(phone_db.scenario("phone_net").execute(query).oids()) \
+        == expected

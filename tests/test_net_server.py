@@ -9,6 +9,7 @@ sessions exactly once and stops receiving fan-out).
 
 from __future__ import annotations
 
+import logging
 import threading
 import time
 
@@ -18,6 +19,7 @@ from repro import obs
 from repro.core.kernel import GISKernel
 from repro.errors import NetClientError, NetError
 from repro.net import GISClient, ServerThread
+from repro.net.router import ClientState
 from repro.workloads import PhoneNetParams, build_phone_net_database
 
 
@@ -311,6 +313,45 @@ class TestSessionLifecycle:
         thread.stop()
         assert kernel.session_count == 0
         client.close()
+
+    def test_client_leaving_during_stop_still_releases_its_sessions(
+            self, kernel, monkeypatch, caplog):
+        """A client disconnects just as the server stops: its serve task
+        is mid-teardown, releasing its sessions off the loop, when
+        ``stop()`` runs. ``stop()`` lets that teardown finish, so every
+        session is closed when it returns, and no task ends cancelled
+        (which asyncio reports as an ``Exception in callback``)."""
+        releasing, release = threading.Event(), threading.Event()
+        real_close = ClientState.close_sessions
+
+        def slow_close(state):
+            if not releasing.is_set():  # the leaving client's teardown
+                releasing.set()
+                release.wait(5)
+            return real_close(state)
+
+        monkeypatch.setattr(ClientState, "close_sessions", slow_close)
+        thread = ServerThread(kernel)
+        host, port = thread.start()
+        clients = [GISClient(host, port, timeout=15) for __ in range(3)]
+        for i, client in enumerate(clients):
+            client.open_session(user=f"user{i}")
+        assert kernel.session_count == 3
+        clients[0].close()
+        assert releasing.wait(5)        # its teardown is in flight
+        timer = threading.Timer(0.3, release.set)
+        timer.start()
+        try:
+            with caplog.at_level(logging.ERROR, logger="asyncio"):
+                thread.stop()
+        finally:
+            release.set()
+            timer.cancel()
+        assert kernel.session_count == 0
+        assert [r.getMessage() for r in caplog.records
+                if r.name == "asyncio"] == []
+        for client in clients[1:]:
+            client.close()
 
 
 def server_counter(server, name):

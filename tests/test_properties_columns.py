@@ -24,6 +24,7 @@ columns were added while it applied.
 
 from __future__ import annotations
 
+import re
 import threading
 
 import pytest
@@ -36,9 +37,15 @@ from repro.geodb import (FLOAT, INTEGER, TEXT, Attribute, ClassColumns,
                          LocalReplicationSource, MemoryPager, QueryEngine,
                          ReferenceType, TupleType, WriteAheadLog)
 from repro.geodb import columns as columns_module
-from repro.geodb.planner import INDEX_SCAN
+from repro.geodb import query as query_module
+from repro.geodb.planner import FULL_SCAN, HASH_SCAN, INDEX_SCAN
+from repro.geodb.instances import GeoObject
+from repro.geodb.query import SpatialPredicate
 from repro.geodb.query_language import parse_query
-from repro.spatial import Point
+from repro.spatial import BBox, LineString, Point, Polygon
+from repro.spatial import topology
+from repro.spatial.geometry import EPSILON
+from repro.spatial.topology import PREDICATES
 from repro.workloads import build_mix_schema
 from repro.workloads.txn_mix import MIX_CLASS, MIX_SCHEMA
 from tests import _reference
@@ -72,6 +79,9 @@ def build_schema():
 def make_db(rows, mixed=False) -> GeographicDatabase:
     db = GeographicDatabase("props", pager=MemoryPager())
     db.register_schema(build_schema())
+    for class_name in (MIX_CLASS, SUBCLASS):
+        # ``name = ...`` terms may plan hash scans
+        db.create_attribute_index(MIX_SCHEMA, class_name, "name")
     if rows:
         with db.transaction() as txn:
             for i, (name, size, located) in enumerate(rows):
@@ -87,14 +97,21 @@ def make_db(rows, mixed=False) -> GeographicDatabase:
     return db
 
 
+#: how far a window corner may sit off its grid value: on it, or 5e-10
+#: inside or outside, within ``relate``'s EPSILON band of a grid point
+NUDGES = [0.0, 0.0, 5e-10, -5e-10]
+
+
 @st.composite
 def where_clauses(draw):
     """One to three terms over size, name and the location window.
 
     Locations sit on the integer grid ``(i % 7, i % 5)``; windows have
-    integer or half-integer corners, so points fall inside, outside and
-    on edges (``touches``, not ``within``). A window term in a
-    conjunction lets the planner choose an R-tree scan.
+    integer or half-integer corners, some nudged by 5e-10, so points
+    fall inside, outside, on edges (``touches``, not ``within``) and in
+    the EPSILON band just inside or outside an edge, which ``relate``
+    counts as on it. A window term in a conjunction lets the planner
+    choose an R-tree scan; a ``name =`` term, a hash scan.
     """
     terms = []
     for __ in range(draw(st.integers(min_value=1, max_value=3))):
@@ -108,11 +125,15 @@ def where_clauses(draw):
             op = "like" if "%" in name else draw(st.sampled_from(["=", "!="]))
             terms.append(f"name {op} '{name}'")
         else:
+            relation = draw(st.sampled_from(["within", "intersects",
+                                             "touches"]))
             x, y = draw(st.integers(-1, 6)), draw(st.integers(-1, 4))
             width = draw(st.integers(1, 3)) - draw(st.sampled_from([0, 0.5]))
             height = draw(st.integers(1, 2)) - draw(st.sampled_from([0, 0.5]))
-            terms.append(f"within(location, bbox({x}, {y}, {x + width}, "
-                         f"{y + height}))")
+            corners = ", ".join(
+                f"{value + draw(st.sampled_from(NUDGES)):.10f}"
+                for value in (x, y, x + width, y + height))
+            terms.append(f"{relation}(location, bbox({corners}))")
     joiner = draw(st.sampled_from([" and ", " or "]))
     clause = joiner.join(terms)
     if draw(st.booleans()):
@@ -165,6 +186,20 @@ INDEX_ROWS = [(["ash", "beech", "cedar", "ash/2"][i % 4],
 
 WINDOW = "within(location, bbox(0, 0, 3.5, 3.5))"
 
+#: fixed examples whose window edges sit 5e-10 off grid points, so the
+#: rows there are in ``relate``'s EPSILON band: from outside (the
+#: widened prefilter must keep them) and from inside (``touches``, not
+#: ``within``); one per plan kind, pinned by
+#: ``test_band_examples_reach_every_plan``
+BAND_EXAMPLES = {
+    INDEX_SCAN: "select * from Feature where intersects(location, "
+                "bbox(1.0000000005, 0.9999999995, 3.5, 2.0000000005))",
+    HASH_SCAN: "select oid, name from Feature where name = 'beech' and "
+               "touches(location, bbox(0.9999999995, 1.0000000005, 3, 3))",
+    FULL_SCAN: "select count(*) from Feature where size > 40 or "
+               "within(location, bbox(0.9999999995, -1, 4.0000000005, 3))",
+}
+
 #: fixed examples the planner answers with R-tree scans on INDEX_ROWS,
 #: alone and in the mixed closure
 INDEX_EXAMPLES = [
@@ -187,6 +222,9 @@ INDEX_EXAMPLES = [
 @example(rows=INDEX_ROWS, text=INDEX_EXAMPLES[0])
 @example(rows=INDEX_ROWS, text=INDEX_EXAMPLES[1])
 @example(rows=INDEX_ROWS, text=INDEX_EXAMPLES[2])
+@example(rows=INDEX_ROWS, text=BAND_EXAMPLES[INDEX_SCAN])
+@example(rows=INDEX_ROWS, text=BAND_EXAMPLES[HASH_SCAN])
+@example(rows=INDEX_ROWS, text=BAND_EXAMPLES[FULL_SCAN])
 def test_every_route_equals_reference(rows, text):
     """The engine's plans and the scenario route, on one class and on a
     mixed closure, all answer like the naive reference evaluator —
@@ -214,6 +252,22 @@ def test_fixed_examples_plan_index_scans(text):
         result = QueryEngine(make_db(INDEX_ROWS, mixed=mixed)).execute(
             MIX_SCHEMA, query)
         assert INDEX_SCAN in [plan["plan"] for plan in result.report["plans"]]
+
+
+@pytest.mark.parametrize("kind", sorted(BAND_EXAMPLES))
+def test_band_examples_reach_every_plan(kind):
+    """Each band example plans its scan kind on the fixed rows, and some
+    row it scans lies in the EPSILON band of a window edge: off the
+    edge by less than 1e-9."""
+    query = parse_query(BAND_EXAMPLES[kind])
+    db = make_db(INDEX_ROWS)
+    assert QueryEngine(db).execute(MIX_SCHEMA, query).report["plan"] == kind
+    window = re.search(r"bbox\(([^)]*)\)", BAND_EXAMPLES[kind])[1]
+    x0, y0, x1, y1 = map(float, window.split(","))
+    assert any(0 < min(abs(point.x - x0), abs(point.x - x1),
+                       abs(point.y - y0), abs(point.y - y1)) < 1e-9
+               for obj in db.extent(MIX_SCHEMA, MIX_CLASS)
+               if (point := obj.get("location")) is not None)
 
 
 def check_extent_order(rows, text) -> None:
@@ -721,3 +775,158 @@ def test_index_scan_oracles_catch_a_seeded_bug(bug, monkeypatch):
         monkeypatch.setattr(QueryEngine, "_probe_rows", _probe_in_rtree_order)
         with pytest.raises(AssertionError):
             check_extent_order(INDEX_ROWS, INDEX_EXAMPLES[0])
+
+
+# ---------------------------------------------------------------------------
+# rectangle windows: the coordinate fast path answers like relate()
+# ---------------------------------------------------------------------------
+
+#: offsets from an edge coordinate: on it, in relate()'s EPSILON band
+#: on either side, and just past the band
+EDGE_OFFSETS = [0.0, 5e-10, -5e-10, 1e-9, -1e-9, 2e-9, -2e-9]
+
+
+@st.composite
+def rectangle_probes(draw):
+    """A ``bbox`` rectangle: random, or near-degenerate (sides down to
+    1e-3, where relate()'s band is widest)."""
+    side = st.one_of(st.sampled_from([1e-3, 1.5e-3, 2e-3, 0.01]),
+                     st.floats(min_value=1e-3, max_value=500))
+    x0 = draw(st.floats(min_value=-500, max_value=500))
+    y0 = draw(st.floats(min_value=-500, max_value=500))
+    return Polygon.from_bbox(BBox(x0, y0, x0 + draw(side), y0 + draw(side)))
+
+
+def _coordinate(draw, low: float, high: float) -> float:
+    """A coordinate on, near, inside or outside ``[low, high]``."""
+    where = draw(st.sampled_from(["edge", "band", "inside", "outside"]))
+    edge = draw(st.sampled_from([low, high]))
+    if where == "edge":
+        return edge + draw(st.sampled_from(EDGE_OFFSETS))
+    if where == "band":
+        return edge + draw(st.floats(min_value=-2 * EPSILON,
+                                     max_value=2 * EPSILON))
+    span = high - low
+    if where == "inside":
+        return low + span * draw(st.floats(min_value=0, max_value=1))
+    return edge + draw(st.sampled_from([-1, 1])) * span * draw(
+        st.floats(min_value=0, max_value=2))
+
+
+@st.composite
+def window_geometries(draw, probe):
+    """Points and two- to four-vertex line strings around ``probe``;
+    corners come from an edge coordinate on both axes."""
+    box = probe.bbox()
+
+    def vertex():
+        return (_coordinate(draw, box.min_x, box.max_x),
+                _coordinate(draw, box.min_y, box.max_y))
+
+    geoms = []
+    for __ in range(draw(st.integers(min_value=1, max_value=12))):
+        if draw(st.booleans()):
+            geoms.append(Point(*vertex()))
+        else:
+            geoms.append(LineString([vertex() for __ in range(
+                draw(st.integers(min_value=2, max_value=4)))]))
+    return geoms
+
+
+def shape_columns(geoms) -> ClassColumns:
+    """A transient column set whose ``shape`` column holds ``geoms``."""
+    return ClassColumns.transient(
+        [GeoObject(f"Shape#{i}", "Shape", {"shape": geom})
+         for i, geom in enumerate(geoms)])
+
+
+def check_rectangle_kernel(probe, geoms) -> None:
+    """For every relation, the column kernel keeps exactly the rows the
+    relation's wrapper (that is, relate()) accepts."""
+    columns = shape_columns(geoms)
+    rows = list(range(len(geoms)))
+    for relation, holds in PREDICATES.items():
+        kernel = SpatialPredicate("shape", relation, probe).compile_columns(
+            None, columns)
+        assert kernel(rows) == [i for i in rows
+                                if holds(geoms[i], probe)], relation
+
+
+#: a fixed window with rows on its edges and corners, in the band just
+#: inside and outside them, and clear of them, as points and lines
+FIXED_PROBE = Polygon.from_bbox(BBox(10.0, 20.0, 10.001, 20.5))
+FIXED_GEOMS = [
+    Point(10.0, 20.25), Point(10.0005, 20.5), Point(10.001, 20.0),
+    Point(10.0 + 5e-10, 20.25), Point(10.0 - 5e-10, 20.25),
+    Point(10.0005, 20.5 - 5e-10), Point(10.0005, 20.25),
+    Point(12.0, 20.25), Point(10.0005, 19.0),
+    LineString([(9.0, 20.25), (11.0, 20.3)]),
+    LineString([(10.0002, 20.1), (10.0008, 20.4)]),
+    LineString([(9.0, 19.0), (9.5, 19.5), (9.9, 21.0)]),
+    LineString([(10.0 - 5e-10, 19.0), (10.0 - 5e-10, 21.0)]),
+    LineString([(10.0005, 20.25), (10.0005, 20.5 + 5e-10)]),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+@example(data=None)
+def test_rectangle_kernel_equals_relate(data):
+    """The rectangle fast path decides rows from coordinates and sends
+    the EPSILON band to relate(); every relation's kernel answers like
+    relate() on random and near-degenerate windows."""
+    if data is None:
+        probe, geoms = FIXED_PROBE, FIXED_GEOMS
+    else:
+        probe = data.draw(rectangle_probes())
+        geoms = data.draw(window_geometries(probe))
+    check_rectangle_kernel(probe, geoms)
+
+
+def test_rectangle_kernel_skips_relate_off_the_band(monkeypatch):
+    """Rows clear of the band never reach relate(); rows in it do."""
+    probe = Polygon.from_bbox(BBox(0, 0, 10, 10))
+    clear = [Point(5, 5), Point(20, 5), LineString([(-5, 5), (15, 5)]),
+             LineString([(-5, -5), (-5, 15)]), LineString([(1, 1), (9, 2)])]
+    banded = [Point(10 + 5e-10, 5), LineString([(10, 5), (12, 5)])]
+    columns = shape_columns(clear + banded)
+    kernels = [SpatialPredicate("shape", relation, probe).compile_columns(
+        None, columns) for relation in PREDICATES if relation != "disjoint"]
+    calls = []
+    real_relate = topology.relate
+    monkeypatch.setattr(topology, "relate", lambda a, b: (
+        calls.append(b if a is probe else a), real_relate(a, b))[1])
+    for kernel in kernels:
+        kernel(range(len(clear) + len(banded)))
+    assert {id(geom) for geom in calls} == {id(geom) for geom in banded}
+
+
+def _closed_inside_test(real_relater):
+    """The clear-inside test with ``<=`` on the rectangle's own edges
+    instead of ``<`` inside the margin: a point on an edge is WITHIN."""
+    def relater(probe):
+        decide = real_relater(probe)
+        if decide is None:
+            return None
+        box = probe.bbox()
+
+        def seeded(geom):
+            if isinstance(geom, Point) and box.min_x <= geom.x <= box.max_x \
+                    and box.min_y <= geom.y <= box.max_y:
+                return topology.Relation.WITHIN
+            return decide(geom)
+        return seeded
+    return relater
+
+
+@pytest.mark.parametrize("bug", ["<= in the inside test", "zero margin"])
+def test_rectangle_oracle_catches_a_seeded_bug(bug, monkeypatch):
+    """The kernel oracle is falsifiable: each broken fast path fails it
+    on the fixed window."""
+    if bug == "zero margin":
+        monkeypatch.setattr(topology, "MARGIN_FACTOR", 0.0)
+    else:
+        monkeypatch.setattr(query_module, "rectangle_relater",
+                            _closed_inside_test(topology.rectangle_relater))
+    with pytest.raises(AssertionError):
+        check_rectangle_kernel(FIXED_PROBE, FIXED_GEOMS)
