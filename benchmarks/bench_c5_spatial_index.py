@@ -3,19 +3,91 @@
 Every ``Get_Class`` map display and every map-window pan issues a window
 query ("show the poles in the visible extent"). This experiment sweeps
 dataset sizes and measures R-tree window queries against the linear-scan
-baseline, locating the crossover that justifies the index, plus the grid
-index as a second point of comparison.
+baseline, locating the crossover that justifies the index, plus a
+uniform grid (:class:`GridIndex`, defined here as this benchmark's
+second baseline) as another point of comparison. All three must give
+the same answer to every window.
 """
 
+import math
+import random
 import time
 
-from repro.spatial import BBox, GridIndex, RTree
+from repro.spatial import BBox, RTree
 from repro.spatial.rtree import naive_search
 from repro.workloads import clustered_points
 
 from _support import print_header, print_table
 
 EXTENT = BBox(0, 0, 10_000, 10_000)
+
+
+class GridIndex:
+    """A fixed-resolution bucket grid over a universe bbox: each entry
+    is registered in every cell its bbox overlaps."""
+
+    def __init__(self, universe: BBox, cell_size: float):
+        self.universe = universe
+        self.cell_size = float(cell_size)
+        self._cols = max(1, math.ceil(universe.width / cell_size))
+        self._rows = max(1, math.ceil(universe.height / cell_size))
+        self._cells: dict[tuple[int, int], list] = {}
+
+    def _cell_range(self, box: BBox) -> tuple[range, range]:
+        """The clamped column and row ranges covering ``box``."""
+        size, origin = self.cell_size, self.universe
+
+        def span(low, high, start, count):
+            first = int((low - start) // size)
+            last = int((high - start) // size)
+            return range(max(0, min(first, count - 1)),
+                         max(0, min(last, count - 1)) + 1)
+
+        return (span(box.min_x, box.max_x, origin.min_x, self._cols),
+                span(box.min_y, box.max_y, origin.min_y, self._rows))
+
+    def insert(self, box: BBox, item) -> None:
+        entry = (box, item)
+        cols, rows = self._cell_range(box)
+        for col in cols:
+            for row in rows:
+                self._cells.setdefault((col, row), []).append(entry)
+
+    def search(self, box: BBox) -> list:
+        """Items whose bbox intersects ``box``, each once."""
+        cols, rows = self._cell_range(box)
+        seen: set[int] = set()
+        out = []
+        for col in cols:
+            for row in rows:
+                for entry in self._cells.get((col, row), ()):
+                    if id(entry) not in seen:
+                        seen.add(id(entry))
+                        if entry[0].intersects(box):
+                            out.append(entry[1])
+        return out
+
+
+def assert_same_answers(entries, tree, grid, query_windows) -> None:
+    """naive == R-tree == grid, as item sets, for every window."""
+    for window in query_windows:
+        expected = sorted(naive_search(entries, window))
+        assert sorted(tree.search(window)) == expected, window
+        grid_hits = grid.search(window)
+        assert len(grid_hits) == len(set(grid_hits)), window
+        assert sorted(grid_hits) == expected, window
+
+
+def spanning_boxes(count: int, seed: int = 9):
+    """Boxes up to two grid cells wide, some spanning several cells, and
+    one spanning the whole universe."""
+    rng = random.Random(seed)
+    entries = [(EXTENT, -1)]
+    for i in range(count):
+        x, y = rng.uniform(0, 9_400), rng.uniform(0, 9_400)
+        entries.append((BBox(x, y, x + rng.uniform(0, 500),
+                             y + rng.uniform(0, 500)), i))
+    return entries
 
 
 def dataset(size):
@@ -31,10 +103,9 @@ def windows(count=50, fraction=0.05, seed=1):
 
 def time_queries(fn, query_windows):
     start = time.perf_counter()
-    total = 0
     for window in query_windows:
-        total += len(fn(window))
-    return (time.perf_counter() - start) / len(query_windows), total
+        fn(window)
+    return (time.perf_counter() - start) / len(query_windows)
 
 
 def test_c5_rtree_vs_naive_sweep(capsys, benchmark):
@@ -50,11 +121,11 @@ def test_c5_rtree_vs_naive_sweep(capsys, benchmark):
         for box, item in entries:
             grid.insert(box, item)
 
-        t_naive, n_naive = time_queries(
+        assert_same_answers(entries, tree, grid, query_windows)
+        t_naive = time_queries(
             lambda w: naive_search(entries, w), query_windows)
-        t_tree, n_tree = time_queries(tree.search, query_windows)
-        t_grid, n_grid = time_queries(grid.search, query_windows)
-        assert n_naive == n_tree == n_grid   # identical answers
+        t_tree = time_queries(tree.search, query_windows)
+        t_grid = time_queries(grid.search, query_windows)
 
         speedup = t_naive / t_tree
         if crossover is None and speedup > 1.0:
@@ -66,6 +137,18 @@ def test_c5_rtree_vs_naive_sweep(capsys, benchmark):
             f"{t_grid * 1e6:.0f} us",
             f"{speedup:.1f}x",
         ])
+
+    # boxes with extent: an entry in several cells is answered once,
+    # and windows reaching past the universe clamp to its edge cells
+    entries = spanning_boxes(300)
+    tree = RTree(max_entries=16)
+    grid = GridIndex(EXTENT, cell_size=250.0)
+    for box, item in entries:
+        tree.insert(box, item)
+        grid.insert(box, item)
+    assert_same_answers(entries, tree, grid, query_windows + [
+        EXTENT, BBox(-500, -500, 300, 300), BBox(9_900, 9_900, 12_000, 12_000),
+        BBox(5_000, 5_000, 5_000, 5_000)])
 
     with capsys.disabled():
         print_header("C5", "window query: naive scan vs R-tree vs grid")

@@ -31,6 +31,7 @@ from typing import Any
 
 from .. import obs
 from ..errors import CustomizationError
+from ..geodb.columns import ClassColumns
 from ..geodb.database import GeographicDatabase
 from ..geodb.instances import GeoObject
 from ..geodb.query import _resolve_path
@@ -142,10 +143,13 @@ class GenericInterfaceBuilder:
 
     def build_class_window(self, geo_class: GeoClass,
                            attributes: list[Attribute],
-                           objects: list[GeoObject],
+                           objects: ClassColumns,
                            decision: CustomizationDecision | None = None,
                            scale: MapScale | None = None) -> Window:
         """Build the Class-set window for a ``Get_Class`` result.
+
+        ``objects`` is the class's column set, as ``get_class`` returns
+        it: the window lists and draws its oid and geometry columns.
 
         Control area: operations menu, the class schema summary, the class
         control widget (default: a labelled button; customized: any
@@ -166,7 +170,7 @@ class GenericInterfaceBuilder:
 
     def _build_class_window(self, geo_class: GeoClass,
                             attributes: list[Attribute],
-                            objects: list[GeoObject],
+                            objects: ClassColumns,
                             decision: CustomizationDecision | None = None,
                             scale: MapScale | None = None) -> Window:
         clause = decision.class_clause if decision else None
@@ -193,8 +197,7 @@ class GenericInterfaceBuilder:
         control.add_child(self._class_control_widget(geo_class, clause))
 
         instance_list = ListWidget("instances", label="Instances")
-        for obj in objects:
-            instance_list.add_item(obj.oid, obj.oid)
+        instance_list.add_items(objects.oids, objects.row_of)
         control.add_child(instance_list)
 
         presentation = Panel("presentation")
@@ -212,7 +215,9 @@ class GenericInterfaceBuilder:
         spatial = [a for a in attributes if a.is_spatial()]
         if spatial:
             geometry_attr = spatial[0].name
-            class_format.place(area, objects, geometry_attr, scale=scale)
+            class_format.place(area, objects.oids,
+                               objects.geometry_column(geometry_attr)[0],
+                               scale=scale)
             window.set_property("geometry_attribute", geometry_attr)
         return window
 

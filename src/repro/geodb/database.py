@@ -24,7 +24,7 @@ import os
 import threading
 from contextlib import contextmanager
 from functools import partial
-from typing import Any, Callable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from .. import obs
 from ..active.event_bus import Event, EventBus, EventKind
@@ -47,6 +47,9 @@ from .storage import FilePager, HeapFile, MemoryPager, Pager, RecordId
 from .transactions import Transaction, _Intent
 from .wal import (REC_INTENT, REC_RASTER, LogShipper, WriteAheadLog,
                   verify_envelope)
+
+if TYPE_CHECKING:
+    from .columns import ClassColumns
 
 
 class WriteOp:
@@ -459,8 +462,13 @@ class GeographicDatabase:
 
     def get_class(self, schema_name: str, class_name: str,
                   context: Any = None, session_id: str | None = None
-                  ) -> tuple[GeoClass, list[GeoObject]]:
-        """The ``Get_Class`` primitive: a class definition plus extension."""
+                  ) -> tuple[GeoClass, ClassColumns]:
+        """The ``Get_Class`` primitive: a class definition plus extension.
+
+        The extension is the class's column set
+        (:meth:`~repro.geodb.columns.ColumnCache.for_class`), so it holds
+        committed state only, as every scan does.
+        """
         schema = self.get_schema_object(schema_name)
         geo_class = schema.get_class(class_name)
         self.bus.publish(
@@ -472,7 +480,7 @@ class GeographicDatabase:
                 session_id=session_id,
             )
         )
-        return geo_class, list(self.extent(schema_name, class_name))
+        return geo_class, self.column_cache.for_class(schema_name, class_name)
 
     def get_value(self, oid: str, context: Any = None,
                   session_id: str | None = None) -> GeoObject:

@@ -43,7 +43,6 @@ Each predicate has one evaluator per access shape:
 
 from __future__ import annotations
 
-import math
 from typing import Any, Callable, Iterable
 
 from ..errors import QueryError
@@ -211,18 +210,8 @@ _OPS: dict[str, Callable[[Any, Any], bool]] = {
 def _contact_window(probe: Geometry) -> BBox:
     """The probe's bbox widened by its boundary band: every geometry
     :func:`~repro.spatial.topology.relate` finds in contact with the
-    probe has a bbox that meets it (infinite for a probe with a
-    zero-length edge, which every point touches)."""
+    probe has a bbox that meets it."""
     return probe.bbox().expanded(boundary_band(probe))
-
-
-def _contact_prefilter(attr: str, probe: Geometry) -> tuple[str, BBox] | None:
-    """``(attr, contact window)`` for an index probe, or None when the
-    window is unbounded."""
-    window = _contact_window(probe)
-    if math.isinf(window.max_x - window.min_x):
-        return None
-    return (attr, window)
 
 
 def _bbox_overlap_kernel(boxes, window: BBox):
@@ -410,7 +399,7 @@ class SpatialPredicate(Predicate):
         # bbox widened by its boundary band.
         if self.relation == "disjoint":
             return None
-        return _contact_prefilter(self.attr, self.probe)
+        return (self.attr, _contact_window(self.probe))
 
     def describe(self) -> str:
         return f"{self.relation}({self.attr}, {self.probe.wkt()})"
@@ -472,7 +461,7 @@ class RelateMask(Predicate):
         # prefiltered safely.
         requires_contact = any(c == "T" for c in self.mask[:2] + self.mask[3:5])
         if requires_contact:
-            return _contact_prefilter(self.attr, self.probe)
+            return (self.attr, _contact_window(self.probe))
         return None
 
     def describe(self) -> str:

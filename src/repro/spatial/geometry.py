@@ -447,14 +447,17 @@ class Ring:
 def _point_on_segment(
     px: float, py: float, ax: float, ay: float, bx: float, by: float
 ) -> bool:
-    """True when point P lies on segment AB (within :data:`EPSILON`)."""
-    cross = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
-    scale = max(1.0, abs(bx - ax), abs(by - ay))
-    if abs(cross) > EPSILON * scale:
-        return False
-    dot = (px - ax) * (bx - ax) + (py - ay) * (by - ay)
-    length_sq = (bx - ax) ** 2 + (by - ay) ** 2
-    return -EPSILON <= dot <= length_sq + EPSILON
+    """True when point P lies within :data:`EPSILON` of the closed
+    segment AB; a zero-length segment holds only its own point."""
+    dx, dy = bx - ax, by - ay
+    qx, qy = px - ax, py - ay
+    cross = dx * qy - dy * qx
+    length_sq = dx * dx + dy * dy
+    if cross * cross > EPSILON * EPSILON * length_sq:
+        return False  # farther than EPSILON from the line through AB
+    t = (qx * dx + qy * dy) / length_sq if length_sq else 0.0
+    t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
+    return math.hypot(qx - t * dx, qy - t * dy) <= EPSILON
 
 
 class Polygon(Geometry):

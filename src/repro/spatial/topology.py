@@ -506,19 +506,19 @@ def boundary_band(geom: Geometry) -> float:
     point on ``geom``'s boundary.
 
     :func:`~repro.spatial.geometry._point_on_segment` counts a point as
-    on an edge of length ``L`` up to ``EPSILON * max(1, 1/L)`` across
-    it and ``EPSILON / L`` past its ends, so along either axis the band
-    reaches at most twice ``EPSILON * max(1, 1/L)`` for the shortest
-    edge; the result doubles that again for rounding. A geometry
+    on an edge when it lies within ``EPSILON`` of it. The band is
+    ``4 * EPSILON * max(1, 1/L)`` for the shortest edge of length
+    ``L``: wider than that reach, with room for rounding and for the
+    collinearity tolerance of segment intersection
+    (:func:`~repro.spatial.algorithms.orientation`), which grows as
+    ``1/L`` on short edges. A zero-length edge holds only its own
+    point, which lies in the bbox, so it sets no band. A geometry
     without edges (a point) gets ``4 * EPSILON``, well past the
-    ``EPSILON`` at which two points are equal. A zero-length edge has
-    every point on it, so its band is infinite.
+    ``EPSILON`` at which two points are equal.
     """
-    shortest = min((math.hypot(bx - ax, by - ay)
-                    for (ax, ay), (bx, by) in _boundary_segments(geom)),
+    shortest = min((length for (ax, ay), (bx, by) in _boundary_segments(geom)
+                    if (length := math.hypot(bx - ax, by - ay))),
                    default=math.inf)
-    if shortest == 0.0:
-        return math.inf
     return 4.0 * EPSILON * max(1.0, 1.0 / shortest)
 
 
@@ -532,9 +532,8 @@ def rectangle_relater(probe: Geometry):
     returns ``TOUCHES``: the boundary is :func:`relate`'s to define.
 
     "Clearly" means beyond a margin ``m`` from every edge. A point
-    counts as on an edge of length ``L`` when it is within
-    ``EPSILON * max(1, 1/L)`` across it or ``EPSILON / L`` past its
-    ends (:func:`~repro.spatial.geometry._point_on_segment`); ``m`` is
+    counts as on an edge when it is within ``EPSILON`` of it
+    (:func:`~repro.spatial.geometry._point_on_segment`); ``m`` is
     ``MARGIN_FACTOR`` times ``EPSILON * max(1, 1/min side)``, and at
     least that multiple of ``EPSILON`` times the largest rectangle
     coordinate, so the band, the rounding of its cross product and the

@@ -45,21 +45,20 @@ class ClassFormat:
     generalized: bool = False
     doc: str = ""
 
-    def place(self, area: DrawingArea, objects, geometry_attr: str,
+    def place(self, area: DrawingArea, oids, geometries,
               scale: MapScale | None = None) -> int:
-        """Add each object's geometry to the drawing area; returns count."""
-        placed = 0
-        for obj in objects:
-            geom = obj.geometry(geometry_attr)
-            if geom is None:
-                continue
-            if self.generalized and scale is not None:
-                geom = generalize(geom, scale)
-                if geom is None:
-                    continue
-            area.add_feature(obj.oid, geom, self.symbol)
-            placed += 1
-        return placed
+        """Draw aligned oid and geometry columns; returns the count drawn.
+
+        Rows without a geometry are skipped, as are rows a generalized
+        format collapses at ``scale``.
+        """
+        if self.generalized and scale is not None:
+            geometries = [generalize(geom, scale)
+                          if isinstance(geom, Geometry) else None
+                          for geom in geometries]
+        before = area.feature_count
+        area.add_features(oids, geometries, self.symbol)
+        return area.feature_count - before
 
 
 AttributeWidgetFactory = Callable[..., "InterfaceObject | None"]

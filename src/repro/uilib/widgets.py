@@ -18,6 +18,7 @@ themselves; rendering is a separate concern
 
 from __future__ import annotations
 
+from itertools import compress, repeat
 from typing import Any, Sequence
 
 from ..errors import WidgetError
@@ -132,8 +133,13 @@ class DrawingArea(InterfaceObject):
         super().__init__(name, **props)
         self.width = int(width)
         self.height = int(height)
-        #: list of (oid, Geometry, symbol-char)
-        self._features: list[tuple[str, Geometry, str]] = []
+        #: the features as aligned columns: oid, Geometry, symbol-char
+        self._oids: list[str] = []
+        self._geoms: list[Geometry] = []
+        self._symbols: list[str] = []
+        #: ``_oids`` and ``_geoms`` are shared with the caller of
+        #: :meth:`add_features` and are copied before the next change
+        self._borrowed = False
         self._viewport: Viewport | None = None
         # Memos, None until first read. A change to the features drops
         # both; a change to the viewport drops the raster.
@@ -141,30 +147,63 @@ class DrawingArea(InterfaceObject):
         #: (col, row) -> (symbol, oid)
         self._raster: dict[tuple[int, int], tuple[str, str]] | None = None
 
+    def _own(self) -> None:
+        """Before a feature change: drop both memos, copy shared columns."""
+        self._extent = self._raster = None
+        if self._borrowed:
+            self._oids, self._geoms = list(self._oids), list(self._geoms)
+            self._borrowed = False
+
     def add_feature(self, oid: str, geometry: Geometry, symbol: str = "*") -> None:
         if not isinstance(geometry, Geometry):
             raise WidgetError("drawing area features need a Geometry")
         if len(symbol) != 1:
             raise WidgetError("feature symbol must be a single character")
-        self._features.append((oid, geometry, symbol))
-        self._extent = self._raster = None
+        self._own()
+        self._oids.append(oid)
+        self._geoms.append(geometry)
+        self._symbols.append(symbol)
+
+    def add_features(self, oids: Sequence[str], geometries: Sequence,
+                     symbol: str = "*") -> None:
+        """Add aligned ``(oid, geometry)`` columns as one batch.
+
+        Rows whose value is not a :class:`Geometry` (``None`` included)
+        are skipped. An empty area shares columns in which every value is
+        a geometry instead of copying them, so callers pass columns they
+        no longer change (the columns of a class column set never change).
+        """
+        if len(symbol) != 1:
+            raise WidgetError("feature symbol must be a single character")
+        drawn = list(map(isinstance, geometries, repeat(Geometry)))
+        share = all(drawn) and not self._oids
+        self._own()
+        if share:
+            self._oids, self._geoms = oids, geometries
+            self._borrowed = True
+        else:
+            self._oids.extend(compress(oids, drawn))
+            self._geoms.extend(compress(geometries, drawn))
+        self._symbols.extend(repeat(symbol, len(self._oids)
+                                    - len(self._symbols)))
 
     def clear_features(self) -> None:
-        self._features.clear()
+        self._oids, self._geoms, self._symbols = [], [], []
+        self._borrowed = False
         self._extent = self._raster = None
 
     @property
     def features(self) -> list[tuple[str, Geometry, str]]:
-        return list(self._features)
+        return list(zip(self._oids, self._geoms, self._symbols))
 
     @property
     def feature_count(self) -> int:
-        return len(self._features)
+        return len(self._oids)
 
     def data_extent(self) -> BBox:
         if self._extent is None:
             self._extent = BBox.union_all(
-                [geom.bbox() for __, geom, __sym in self._features])
+                [geom.bbox() for geom in self._geoms])
         return self._extent
 
     @property
@@ -218,7 +257,7 @@ class DrawingArea(InterfaceObject):
         cell_w, cell_h = viewport.cell_ground_size()
         step = max(min(cell_w, cell_h) / 2.0, 1e-9)
         cells: dict[tuple[int, int], tuple[str, str]] = {}
-        for oid, geom, symbol in self._features:
+        for oid, geom, symbol in zip(self._oids, self._geoms, self._symbols):
             hit = (symbol, oid)
             if isinstance(geom, Point):
                 points = ((geom.x, geom.y),)
@@ -237,7 +276,7 @@ class DrawingArea(InterfaceObject):
         return {
             "width": self.width,
             "height": self.height,
-            "feature_count": len(self._features),
+            "feature_count": len(self._oids),
         }
 
 
@@ -271,40 +310,82 @@ class ListWidget(InterfaceObject):
     def __init__(self, name: str | None = None,
                  items: Sequence[tuple[str, str]] = (), **props: Any):
         super().__init__(name, **props)
-        self._items: list[tuple[str, str]] = []
-        #: key -> position in ``_items``
+        self._keys: list[str] = []
+        self._labels: list[str] = []
+        #: key -> position in ``_keys``
         self._index: dict[str, int] = {}
+        #: the three above are shared with the caller of :meth:`add_items`
+        #: and are copied before the first change
+        self._borrowed = False
         self._selected: int | None = None
         for key, label in items:
             self.add_item(key, label)
 
+    def _own(self) -> None:
+        """Before an item change: copy shared lists."""
+        if self._borrowed:
+            self._keys, self._labels = list(self._keys), list(self._labels)
+            self._index = dict(self._index)
+            self._borrowed = False
+
     def add_item(self, key: str, label: str | None = None) -> None:
         if key in self._index:
             raise WidgetError(f"list {self.name!r} already has item {key!r}")
-        self._index[key] = len(self._items)
-        self._items.append((key, label if label is not None else key))
+        self._own()
+        self._index[key] = len(self._keys)
+        self._keys.append(key)
+        self._labels.append(label if label is not None else key)
+
+    def add_items(self, keys: Sequence[str],
+                  index: dict[str, int] | None = None) -> None:
+        """Append one item per key, labelled with its key, all or none.
+
+        ``index`` maps each of ``keys`` to its position (a class column
+        set's ``oids`` and ``row_of``): an empty list then shares both
+        until its first change instead of copying them. Otherwise one
+        dict build and one duplicate check cover the whole batch.
+        """
+        start = len(self._keys)
+        share = index is not None and not start
+        if not share:
+            index = dict(zip(keys, range(start, start + len(keys))))
+        if len(index) != len(keys) or not self._index.keys().isdisjoint(
+                index):
+            raise WidgetError(f"list {self.name!r} would repeat an item key")
+        if share:
+            self._keys = self._labels = keys
+            self._index = index
+            self._borrowed = True
+            return
+        self._own()
+        self._index.update(index)
+        self._keys.extend(keys)
+        self._labels.extend(keys)
 
     def remove_item(self, key: str) -> None:
-        i = self._index.pop(key, None)
+        i = self._index.get(key)
         if i is None:
             raise WidgetError(f"list {self.name!r} has no item {key!r}")
+        self._own()
+        del self._index[key]
         if self._selected == i:
             self._selected = None
         elif self._selected is not None and self._selected > i:
             self._selected -= 1
-        del self._items[i]
-        for j in range(i, len(self._items)):
-            self._index[self._items[j][0]] = j
+        del self._keys[i]
+        del self._labels[i]
+        for j in range(i, len(self._keys)):
+            self._index[self._keys[j]] = j
 
     @property
     def items(self) -> list[tuple[str, str]]:
-        return list(self._items)
+        return list(zip(self._keys, self._labels))
 
     @property
     def selected_key(self) -> str | None:
         if self._selected is None:
             return None
-        return self._items[self._selected][0]
+        return self._keys[self._selected]
 
     def select(self, key: str) -> list[Any]:
         """Select by key and fire ``select``; returns callback results."""
@@ -316,7 +397,7 @@ class ListWidget(InterfaceObject):
 
     def _describe_extra(self) -> dict[str, Any]:
         return {
-            "items": [label for __, label in self._items],
+            "items": list(self._labels),
             "selected": self.selected_key,
         }
 

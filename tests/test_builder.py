@@ -105,7 +105,7 @@ class TestClassWindow:
         geo_class, attributes, objects = class_data(phone_db)
         window = builder.build_class_window(geo_class, attributes, objects)
         listed = [k for k, __ in window.find("instances").items]
-        assert listed == [o.oid for o in objects]
+        assert listed == phone_db.extent("phone_net", "Pole").oids()
 
     def test_customized_control_and_format(self, builder, phone_db):
         geo_class, attributes, objects = class_data(phone_db)

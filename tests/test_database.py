@@ -117,9 +117,10 @@ class TestPrimitives:
 
     def test_get_class_returns_definition_and_extension(self, db):
         oid = db.insert("s", "Station", {"code": "a"})
-        geo_class, objects = db.get_class("s", "Station")
+        geo_class, columns = db.get_class("s", "Station")
         assert geo_class.name == "Station"
-        assert [o.oid for o in objects] == [oid]
+        assert columns.oids == [oid]
+        assert columns.version == db.class_version("s", "Station")
         assert db.bus.last_event.kind is EventKind.GET_CLASS
 
     def test_get_value(self, db):

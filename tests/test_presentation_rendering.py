@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import CustomizationError, RenderError
-from repro.geodb import Attribute, GeoClass, GeoObject, GeometryType, Schema, TEXT, FLOAT
+from repro.geodb import (Attribute, ClassColumns, GeoClass, GeoObject,
+                         GeometryType, Schema, TEXT, FLOAT)
 from repro.spatial import LineString, MapScale, Point
 from repro.uilib import (
     AttributeFormat,
@@ -56,6 +57,14 @@ def make_objects():
     return schema, objs, long_line
 
 
+def place(fmt, area, objs, scale=None):
+    """Place the oid and ``geom`` columns of ``objs``, as the builder
+    places a class's column set."""
+    columns = ClassColumns.transient(objs)
+    return fmt.place(area, columns.oids, columns.geometry_column("geom")[0],
+                     scale=scale)
+
+
 class TestClassFormats:
     def test_builtins_registered(self, registry):
         assert set(registry.class_format_names()) >= {
@@ -65,14 +74,14 @@ class TestClassFormats:
         __, objs, __line = make_objects()
         area = DrawingArea("map", width=30, height=10)
         fmt = registry.class_format("pointFormat")
-        assert fmt.place(area, objs, "geom") == 4
+        assert place(fmt, area, objs) == 4
         assert {s for __, __g, s in area.features} == {"o"}
 
     def test_generalized_format_simplifies(self, registry):
         __, __, line_obj = make_objects()
         area = DrawingArea("map", width=30, height=10)
         fmt = registry.class_format("lineFormat")
-        fmt.place(area, [line_obj], "geom", scale=MapScale(50_000))
+        place(fmt, area, [line_obj], scale=MapScale(50_000))
         __, geom, __s = area.features[0]
         assert len(geom.coords) == 2   # interior vertex generalized away
 
@@ -80,8 +89,8 @@ class TestClassFormats:
         schema, __, __line = make_objects()
         bare = GeoObject.create(schema, "Thing", {"name": "no geom"})
         area = DrawingArea("map")
-        assert registry.class_format("pointFormat").place(
-            area, [bare], "geom") == 0
+        assert place(registry.class_format("pointFormat"), area,
+                     [bare]) == 0
 
     def test_unknown_and_duplicate(self, registry):
         with pytest.raises(CustomizationError):

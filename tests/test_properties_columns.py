@@ -883,6 +883,18 @@ def test_rectangle_kernel_equals_relate(data):
     check_rectangle_kernel(probe, geoms)
 
 
+@pytest.mark.parametrize("past_end, hit", [(5e-8, False), (5e-10, True)])
+def test_short_row_edge_reaches_epsilon_past_its_end(past_end, hit):
+    """A row edge shorter than 1 holds points up to EPSILON past its end,
+    no further, and the point probe's kernel agrees with relate()."""
+    row = LineString([(0.0, 0.0), (0.01, 0.0)])
+    probe = Point(0.01 + past_end, 0.0)
+    assert topology.intersects(row, probe) is hit
+    kernel = SpatialPredicate("shape", "intersects", probe).compile_columns(
+        None, shape_columns([row]))
+    assert kernel([0]) == ([0] if hit else [])
+
+
 def test_rectangle_kernel_skips_relate_off_the_band(monkeypatch):
     """Rows clear of the band never reach relate(); rows in it do."""
     probe = Polygon.from_bbox(BBox(0, 0, 10, 10))

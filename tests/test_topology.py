@@ -51,6 +51,22 @@ class TestPointLine:
         assert relate(LineString([(0, 0), (10, 0)]), Point(5, 0)) is Relation.CONTAINS
 
 
+class TestZeroLengthEdges:
+    """A repeated vertex makes a zero-length edge, which holds only its
+    own point, not the whole plane."""
+
+    def test_line_with_repeated_vertex(self):
+        line = LineString([(0, 0), (0, 0), (1, 1)])
+        assert relate(Point(50, 50), line) is Relation.DISJOINT
+        assert relate(Point(0, 0), line) is Relation.TOUCHES
+        assert relate(Point(0.5, 0.5), line) is Relation.WITHIN
+
+    def test_polygon_with_repeated_vertex(self):
+        polygon = Polygon([(0, 0), (0, 0), (1, 0), (1, 1)])
+        assert relate(Point(50, 50), polygon) is Relation.DISJOINT
+        assert relate(Point(0, 0), polygon) is Relation.TOUCHES
+
+
 class TestPointPolygon:
     def test_within(self):
         assert relate(Point(5, 5), square(0, 0, 10, 10)) is Relation.WITHIN

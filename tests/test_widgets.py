@@ -215,6 +215,47 @@ class TestListWidget:
             assert lst.items == [(k, k.upper()) for k in keys]
             assert lst.selected_key == selected
 
+    def test_add_items_all_or_none(self):
+        lst = ListWidget("l", items=[("a", "A")])
+        for keys in (["b", "a"], ["c", "c"]):
+            with pytest.raises(WidgetError, match="repeat an item key"):
+                lst.add_items(keys)
+        with pytest.raises(WidgetError, match="repeat an item key"):
+            ListWidget("l").add_items(["c", "c"], {"c": 1})
+        assert lst.items == [("a", "A")]
+        lst.add_items(["b", "c"], {"b": 0, "c": 1})   # not empty: copied
+        assert lst.items == [("a", "A"), ("b", "b"), ("c", "c")]
+        fired = []
+        lst.on("select", lambda e: fired.append(e.data))
+        lst.select("c")
+        assert fired == [{"key": "c", "index": 2}]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(("add", "remove", "select")),
+                              st.sampled_from("abcdef")),
+                    max_size=20))
+    def test_shared_items_are_copied_on_first_change(self, ops):
+        """A list built over a column's keys and key -> row map never
+        changes them, and agrees with a plain-list model."""
+        keys, index = ["a", "b", "c"], {"a": 0, "b": 1, "c": 2}
+        lst = ListWidget("l")
+        lst.add_items(keys, index)
+        model = [(k, k) for k in keys]
+        for op, key in ops:
+            present = key in dict(model)
+            if op == "add" and not present:
+                lst.add_item(key, key.upper())
+                model.append((key, key.upper()))
+            elif op == "remove" and present:
+                lst.remove_item(key)
+                model = [item for item in model if item[0] != key]
+            elif op == "select" and present:
+                assert lst.select(key) == []
+                assert lst.selected_key == key
+            assert lst.items == model
+        assert keys == ["a", "b", "c"]
+        assert index == {"a": 0, "b": 1, "c": 2}
+
     def test_build_makes_linear_key_comparisons(self):
         """Building a list compares keys O(n) times, not O(n^2)."""
         comparisons = 0
@@ -281,6 +322,31 @@ class TestDrawingArea:
             area.add_feature("x", Point(0, 0), "**")
         with pytest.raises(WidgetError):
             DrawingArea("tiny", width=2, height=1)
+
+    def test_add_features_skips_non_geometries(self):
+        area = DrawingArea("map", width=20, height=10)
+        with pytest.raises(WidgetError):
+            area.add_features(["x"], [Point(0, 0)], "**")
+        area.add_features(["p1", "x", "p2"],
+                          [Point(0, 0), None, Point(20, 20)], "o")
+        area.add_feature("p3", Point(5, 5), "#")
+        assert area.features == [("p1", Point(0, 0), "o"),
+                                 ("p2", Point(20, 20), "o"),
+                                 ("p3", Point(5, 5), "#")]
+        assert area.feature_count == 3
+
+    def test_shared_feature_columns_are_copied_on_change(self):
+        oids, geoms = ["p1", "p2"], [Point(0, 0), Point(10, 10)]
+        area = DrawingArea("map", width=20, height=10)
+        area.add_features(oids, geoms, "o")
+        assert area.data_extent() == BBox(0, 0, 10, 10)
+        area.add_feature("p3", Point(20, 20), "#")
+        area.add_features(["p4"], [Point(30, 30)])
+        assert oids == ["p1", "p2"] and geoms == [Point(0, 0), Point(10, 10)]
+        assert area.data_extent() == BBox(0, 0, 30, 30)
+        assert [s for __, __g, s in area.features] == ["o", "o", "#", "*"]
+        area.clear_features()
+        assert area.features == [] and oids == ["p1", "p2"]
 
     def test_data_extent_and_default_viewport(self):
         area = self.make_area()
