@@ -103,6 +103,8 @@ class GISKernel:
         self._replicas: dict[str, tuple[GeographicDatabase,
                                         QueryResultCache]] = {}
         self._replica_rr = 0
+        #: the status callable of the server serving this kernel, if any
+        self._server_status: Callable[[], dict[str, Any]] | None = None
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -290,10 +292,9 @@ class GISKernel:
                 f"unknown read preference {read_preference!r} "
                 "(expected 'leader' or 'replica')"
             )
+        key = None
         if isinstance(query, str):
-            from ..geodb.query_language import parse_query
-
-            query = parse_query(query)
+            query, key = self.query_cache.prepare(schema_name, query)
         cache = self.query_cache
         if read_preference == "replica" and self._replicas:
             replica, cache = self._pick_replica()
@@ -303,7 +304,7 @@ class GISKernel:
                 rec.inc("query.routed", target="replica")
         if not use_cache:
             return cache.engine.execute(schema_name, query)
-        return cache.execute(schema_name, query)
+        return cache.execute(schema_name, query, key)
 
     # ------------------------------------------------------------------
     # Customization installation (shared rule set)
@@ -373,6 +374,14 @@ class GISKernel:
     # Introspection & lifecycle
     # ------------------------------------------------------------------
 
+    def attach_server(self, status: Callable[[], dict[str, Any]]) -> None:
+        """Report a serving daemon's counters as ``stats()["server"]``."""
+        self._server_status = status
+
+    def detach_server(self, status: Callable[[], dict[str, Any]]) -> None:
+        if self._server_status == status:
+            self._server_status = None
+
     def stats(self) -> dict[str, Any]:
         """The status tree: every always-on counter of the stack, once.
 
@@ -381,9 +390,12 @@ class GISKernel:
         ``stats`` request both report exactly this tree. ``metrics`` is
         the obs registry export (histograms and the labelled counters no
         component keeps), or ``None`` while observability is off.
+        ``server`` is the serving daemon's counters, or ``None`` while
+        no server serves this kernel.
         """
         db = self.database
         columns = db._column_cache
+        server = self._server_status
         return {
             "database": {"name": db.name, **db.stats(),
                          "events_published": db.bus.published_count},
@@ -394,6 +406,7 @@ class GISKernel:
             "query_cache": self.query_cache.stats(),
             "live": {"summary": self.live.stats(),
                      "watches": self.live.watch_status()},
+            "server": server() if server is not None else None,
             "sessions": {sid: session.stats()
                          for sid, session in list(self._sessions.items())},
             "metrics": (obs.RECORDER.registry.export()

@@ -27,6 +27,7 @@ from repro.core.query_cache import QueryResultCache
 from repro.geodb import GeographicDatabase
 from repro.geodb.query_language import parse_query
 from repro.workloads.txn_mix import MIX_CLASS, MIX_SCHEMA, build_mix_schema
+from tests import _reference
 
 QUERY_ALL = "select * from Feature"
 
@@ -347,3 +348,78 @@ class TestSingleFlight:
         assert len(results) == 3    # every follower still got an answer
         assert all(r.report["cache"] == "miss" for r in results)
         assert all(len(r) == 8 for r in results)
+
+
+class TestPreparedTexts:
+    def test_memo_under_threads_answers_like_the_reference(self):
+        """16 threads query 24 distinct texts through a capacity-8 cache,
+        the way ``GISKernel.query`` does (prepare, freshness check,
+        execute with the prepared key), while a committer inserts and
+        deletes rows no text matches. The memo evicts and re-inserts
+        under them; every answer equals the reference, and the counters
+        stay exact."""
+        db = GeographicDatabase("memotest")
+        db.register_schema(build_mix_schema())
+        for i in range(40):
+            db.insert(MIX_SCHEMA, MIX_CLASS, {"name": f"f{i}", "size": i},
+                      oid=f"Feature#f{i:02d}")
+        cache = QueryResultCache(db, capacity=8)
+        texts = [f"select * from Feature where size = {k}"
+                 for k in range(12)] + [
+            f"select name from Feature where size >= {k} order by size "
+            f"limit 3" for k in range(12)]
+        expected = {}
+        for text in texts:
+            objects, rows = _reference.evaluate(db, MIX_SCHEMA,
+                                                parse_query(text))
+            expected[text] = ([obj.oid for obj in objects], rows)
+        errors: list = []
+        executed = [0] * 16
+        stop = threading.Event()
+
+        def reader(w):
+            try:
+                for i in range(150):
+                    text = texts[(w * 5 + i * 7) % len(texts)]
+                    cache.fresh(MIX_SCHEMA, text)
+                    query, key = cache.prepare(MIX_SCHEMA, text)
+                    result = cache.execute(MIX_SCHEMA, query, key)
+                    executed[w] += 1
+                    oids, rows = expected[text]
+                    if rows is None:
+                        assert sorted(result.oids()) == sorted(oids), text
+                    else:
+                        assert result.oids() == oids, text
+                        assert result.rows == rows, text
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append((w, exc))
+
+        def committer():
+            i = 0
+            while not stop.is_set():
+                oid = f"Feature#tmp{i}"
+                with db.transaction() as txn:
+                    txn.insert(MIX_SCHEMA, MIX_CLASS,
+                               {"name": "tmp", "size": -1}, oid=oid)
+                with db.transaction() as txn:
+                    txn.delete(oid)
+                i += 1
+                stop.wait(0.002)    # let entries live long enough to hit
+
+        writer = threading.Thread(target=committer)
+        readers = [threading.Thread(target=reader, args=(w,))
+                   for w in range(16)]
+        writer.start()
+        for t in readers:
+            t.start()
+        for t in readers:
+            t.join(timeout=120)
+        stop.set()
+        writer.join(timeout=30)
+
+        assert errors == []
+        stats = cache.stats()
+        assert stats["lookups"] == sum(executed) == 16 * 150
+        assert stats["hits"] + stats["misses"] == stats["lookups"]
+        assert stats["hits"] > 0 and stats["misses"] > 0
+        assert len(cache._prepared) <= cache.capacity
