@@ -502,10 +502,9 @@ class LiveQueryManager:
         if self._closed:
             raise SessionError("live query manager is shut down")
         if isinstance(query, str):
-            from ..geodb.query_language import parse_query
-
-            query = parse_query(query)
-        key = self.cache.make_key(schema_name, query)
+            query, key = self.cache.prepare(schema_name, query)
+        else:
+            key = self.cache.make_key(schema_name, query)
         with self._lock:
             state = self._states.get(key)
             if state is None:

@@ -11,6 +11,8 @@ ever resends idempotent request kinds (a ``txn`` is never retried).
 from __future__ import annotations
 
 import socket
+import threading
+import time
 
 import pytest
 
@@ -81,6 +83,47 @@ class TestWireReplication:
             status = client.repl_status()
             assert status["lsn"] == kernel.database.replication_lsn
             assert status["status"]["leader"]["role"] == "leader"
+
+    def test_stats_on_a_remote_follower_never_blocks_the_loop(
+            self, server, monkeypatch):
+        """A kernel over a remote-sourced follower asks the leader for its
+        head LSN inside ``stats``: a blocking round trip. While one such
+        ``stats`` waits on a slow leader, the follower's server still
+        answers another connection's ``ping`` at once."""
+        host, port, kernel = server
+        entered = threading.Event()
+        real = kernel.replication_status
+
+        def slow_leader_status():
+            entered.set()
+            time.sleep(1.0)
+            return real()
+
+        monkeypatch.setattr(kernel, "replication_status", slow_leader_status)
+        with GISClient(host, port) as feed:
+            follower = GeographicDatabase.follow(
+                RemoteReplicationSource(feed), name="wire-f")
+            served = GISKernel(follower)
+            try:
+                with ServerThread(served) as (fhost, fport), \
+                        GISClient(fhost, fport) as a, \
+                        GISClient(fhost, fport) as b:
+                    trees = []
+                    entered.clear()
+                    waiter = threading.Thread(
+                        target=lambda: trees.append(a.stats()))
+                    waiter.start()
+                    assert entered.wait(5.0)
+                    started = time.monotonic()
+                    assert b.ping() is True
+                    ping_s = time.monotonic() - started
+                    waiter.join(10.0)
+            finally:
+                served.shutdown()
+        assert ping_s < 0.5
+        [tree] = trees
+        status = tree["replication"]["leader"]
+        assert (status["role"], status["lag"]) == ("follower", 0)
 
     def test_replica_routed_wire_query(self, server):
         host, port, kernel = server
