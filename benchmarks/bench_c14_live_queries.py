@@ -1,26 +1,31 @@
-"""Experiment C14 — live queries: delta maintenance vs re-execution.
+"""Experiment C14 — live queries: maintained selections vs re-execution.
 
 A dashboard of standing queries over a churning extent is the worst
 case for an invalidate-on-commit result cache: every commit moves the
-class version, every standing query misses, and the engine re-executes
-all of them from scratch. The live subsystem
-(:mod:`repro.core.live_queries`) instead patches each cached result
-with the commit's write-set and falls back to execution only when a
-delta is inapplicable (LIMIT horizon, closure change).
+class version, every standing query misses, and the engine re-runs all
+of them from scratch. The live subsystem (:mod:`repro.core.live_queries`)
+instead keeps each watch's selection, re-decides only the rows a commit
+wrote with the query's column kernel, and reshapes the selection
+through the engine's shaper when it moved. It selects in full only on
+registration and when a selection's base is unknown (version gap,
+closure change).
 
 Two questions, two oracles:
 
 * **Work avoided** — the same standing-query set maintained both ways
-  over the same seeded commit mix. We count actual engine executions.
-  Acceptance gate: invalidate-on-commit must execute at least **5x**
-  more full queries than the live path (registration executions
-  included).
+  over the same seeded commit mix. We count full selections
+  (``QueryEngine.select``: every cache miss, watch registration and
+  fallback). Acceptance gate: invalidate-on-commit must run at least
+  **5x** more full selections than the live path. Reshapes are counted
+  in their own column: a reshape runs the shaper over the maintained
+  selection, not a selection. Both strategies' per-commit maintenance
+  time is reported (no gate): the live write-set pass against the
+  repaint of every standing query.
 
 * **Exactness** — after every commit, every live result must be
-  byte-identical to a fresh engine execution: same oids in the same
-  order for ordered queries, identical projected rows, identical
-  aggregate rows (the mix aggregates the integer ``size`` attribute,
-  so sums are order-insensitive and the comparison is exact).
+  byte-identical to a fresh engine execution: the same oids in the same
+  order and identical rows, for every shape (the mix aggregates the
+  integer ``size`` attribute, so sums are exact).
 
 A third section runs the push fan-out over the wire: two connections
 watch disjoint predicates while a writer churns rows matching only the
@@ -28,12 +33,17 @@ first — every ``live_update`` frame must arrive at the connection whose
 result changed, and none at the other (the per-session delivery
 oracle).
 
-Quick mode (``REPRO_BENCH_QUICK=1``, the CI smoke step) shrinks the
-extent and commit counts and skips the ratio assertion.
+Full mode repeats the first two sections 5 times, gates on the medians
+and writes ``BENCH_C14.json`` at the repo root. Quick mode
+(``REPRO_BENCH_QUICK=1``, the CI smoke step) runs once over a smaller
+extent and fewer commits, skips the ratio assertion and writes no
+record.
 """
 
 import os
 import random
+import statistics
+import time
 
 from repro.core.kernel import GISKernel
 from repro.geodb import GeographicDatabase, MemoryPager, QueryEngine
@@ -44,16 +54,17 @@ from repro.spatial import Point
 from repro.workloads import build_mix_schema
 from repro.workloads.txn_mix import MIX_CLASS, MIX_SCHEMA
 
-from _support import print_header, print_table
+from _support import median_iqr, print_header, print_table, record_results
 
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
 EXTENT = 400 if QUICK else 2000
 COMMITS = 40 if QUICK else 240
 WIRE_COMMITS = 10 if QUICK else 40
+REPEATS = 1 if QUICK else 5
 WORLD = 1000
 SEED = 20260808
 
-#: the standing dashboard: every shape the delta engine maintains
+#: the standing dashboard: every result shape a watch maintains
 STANDING = [
     "select count(*), avg(size) from Feature where "
     "within(location, bbox(0, 0, 250, 250))",
@@ -83,24 +94,30 @@ def make_db(name="c14") -> GeographicDatabase:
     return db
 
 
-class ExecCounter:
-    """Counts real engine executions behind a kernel's result cache."""
+class SelectCounter:
+    """Counts full selections behind a kernel's result cache.
 
-    def __init__(self, cache):
-        self.cache = cache
+    ``QueryEngine.execute`` selects through ``select``, and live watches
+    call ``select`` directly on registration and fallback, so patching
+    the engine instance's ``select`` counts both strategies alike.
+    """
+
+    def __init__(self, engine):
+        self.engine = engine
         self.count = 0
-        self._inner = cache.engine.execute
 
     def __enter__(self):
+        inner = self.engine.select
+
         def counting(schema_name, query):
             self.count += 1
-            return self._inner(schema_name, query)
+            return inner(schema_name, query)
 
-        self.cache.engine.execute = counting
+        self.engine.select = counting
         return self
 
     def __exit__(self, *exc):
-        self.cache.engine.execute = self._inner
+        del self.engine.select
         return False
 
 
@@ -142,7 +159,7 @@ def apply_ops(kernel, ops):
 
 
 def run_live() -> dict:
-    """Watches maintained by deltas; exactness checked every commit."""
+    """Maintained watches; exactness checked every commit."""
     db = make_db("c14-live")
     oracle = QueryEngine(db)
     kernel = GISKernel(db)
@@ -150,38 +167,39 @@ def run_live() -> dict:
     rng = random.Random(SEED)
     oids = list(db.extent(MIX_SCHEMA, MIX_CLASS).oids())
     mismatches = 0
-    with ExecCounter(kernel.query_cache) as counter:
-        watches = [(session.watch(MIX_SCHEMA, text), parse_query(text),
-                    text) for text in STANDING]
+    live = kernel.live
+    maintain_s: list[float] = []
+    inner = live._on_write_set
+
+    def timed(ws):
+        start = time.perf_counter()
+        inner(ws)
+        maintain_s.append(time.perf_counter() - start)
+
+    live._on_write_set = timed
+    with SelectCounter(kernel.query_cache.engine) as counter:
+        watches = [(session.watch(MIX_SCHEMA, text), parse_query(text))
+                   for text in STANDING]
         serial = 0
         for _ in range(COMMITS):
             ops, serial = churn_ops(rng, oids, serial)
             apply_ops(kernel, ops)
-            for watch, query, text in watches:
+            for watch, query in watches:
                 fresh = oracle.execute(MIX_SCHEMA, query)
-                live = watch.result()
-                if "order by" in text:
-                    same = (live.oids() == fresh.oids()
-                            and live.rows == fresh.rows)
-                elif live.rows is not None:
-                    key = (None if query.aggregates
-                           else (lambda r: r["oid"]))
-                    same = sorted(live.oids()) == sorted(fresh.oids()) \
-                        and (live.rows == fresh.rows if key is None else
-                             sorted(live.rows, key=key)
-                             == sorted(fresh.rows, key=key))
-                else:
-                    same = sorted(live.oids()) == sorted(fresh.oids())
-                mismatches += 0 if same else 1
-        executions = counter.count
-    stats = kernel.live.stats()
+                result = watch.result()
+                if result.oids() != fresh.oids() or result.rows != fresh.rows:
+                    mismatches += 1
+        selections = counter.count
+    stats = live.stats()
     kernel.shutdown()
     return {
-        "executions": executions,
+        "selections": selections,
         "deltas": stats["delta_applied"],
+        "reshapes": stats["reshapes"],
         "fallbacks": stats["fallback_reexec"],
         "pushes": stats["pushes"],
         "mismatches": mismatches,
+        "maintain_p50_ms": statistics.median(maintain_s) * 1e3,
     }
 
 
@@ -192,22 +210,26 @@ def run_baseline() -> dict:
     rng = random.Random(SEED)
     oids = list(db.extent(MIX_SCHEMA, MIX_CLASS).oids())
     queries = [parse_query(text) for text in STANDING]
-    with ExecCounter(kernel.query_cache) as counter:
+    repaint_s: list[float] = []
+    with SelectCounter(kernel.query_cache.engine) as counter:
         for query in queries:            # the dashboard's first paint
             kernel.query(MIX_SCHEMA, query)
         serial = 0
         for _ in range(COMMITS):
             ops, serial = churn_ops(rng, oids, serial)
             apply_ops(kernel, ops)
+            start = time.perf_counter()
             for query in queries:        # every commit repaints it all
                 kernel.query(MIX_SCHEMA, query)
-        executions = counter.count
+            repaint_s.append(time.perf_counter() - start)
+        selections = counter.count
     cache_stats = kernel.query_cache.stats()
     kernel.shutdown()
     return {
-        "executions": executions,
+        "selections": selections,
         "invalidations": cache_stats["invalidations"],
         "hits": cache_stats["hits"],
+        "maintain_p50_ms": statistics.median(repaint_s) * 1e3,
     }
 
 
@@ -252,43 +274,73 @@ def run_wire() -> dict:
 
 
 def test_c14_live_queries(capsys):
-    live = run_live()
-    baseline = run_baseline()
+    runs = [(run_live(), run_baseline()) for __ in range(REPEATS)]
     wire = run_wire()
-    ratio = baseline["executions"] / max(live["executions"], 1)
+    live, baseline = runs[0]     # counts are the same in every run
+    ratio = median_iqr([base["selections"] / max(lv["selections"], 1)
+                        for lv, base in runs])
+    live_ms = median_iqr([lv["maintain_p50_ms"] for lv, __ in runs])
+    base_ms = median_iqr([base["maintain_p50_ms"] for __, base in runs])
+    mismatches = sum(lv["mismatches"] for lv, __ in runs)
+    recorded = record_results("BENCH_C14.json", {
+        "experiment": "C14",
+        "quick": QUICK,
+        "extent": EXTENT,
+        "commits": COMMITS,
+        "standing_queries": len(STANDING),
+        "repeats": REPEATS,
+        "selections": {"live": live["selections"],
+                       "invalidate_on_commit": baseline["selections"],
+                       "ratio": ratio},
+        "live": {key: live[key] for key in
+                 ("deltas", "reshapes", "fallbacks", "pushes")},
+        "maintain_ms_per_commit_p50": {"live": live_ms,
+                                       "invalidate_on_commit": base_ms},
+        "mismatches": mismatches,
+        "wire": wire,
+        "gates": {"judged_on": "median",
+                  "selection_ratio_min": 5.0,
+                  "mismatches_max": 0,
+                  "cold_pushes_max": 0},
+    }, QUICK)
 
     with capsys.disabled():
-        print_header("C14", "live queries: delta maintenance vs "
+        print_header("C14", "live queries: maintained selections vs "
                             "invalidate-on-commit")
         print(f"\n{len(STANDING)} standing queries over {EXTENT} objects, "
-              f"{COMMITS} commits of churn:")
+              f"{COMMITS} commits of churn, median of {REPEATS} "
+              f"run{'s' if REPEATS > 1 else ''}:")
         print_table(
-            ["strategy", "engine execs", "deltas", "fallbacks", "pushes"],
+            ["strategy", "full selections", "deltas", "reshapes",
+             "fallbacks", "pushes", "maintain/commit p50"],
             [
-                ["invalidate-on-commit", baseline["executions"],
-                 "-", "-", "-"],
-                ["live (delta)", live["executions"], live["deltas"],
-                 live["fallbacks"], live["pushes"]],
+                ["invalidate-on-commit", baseline["selections"],
+                 "-", "-", "-", "-", f"{base_ms['median']:.3f}ms"],
+                ["live (maintained)", live["selections"], live["deltas"],
+                 live["reshapes"], live["fallbacks"], live["pushes"],
+                 f"{live_ms['median']:.3f}ms"],
             ],
         )
-        print(f"\nre-execution ratio: {ratio:.1f}x fewer engine runs "
-              f"({baseline['executions']} vs {live['executions']})")
-        print(f"exactness: {live['mismatches']} mismatches across "
-              f"{COMMITS * len(STANDING)} per-commit comparisons")
+        print(f"\nselection ratio: {ratio['median']:.1f}x fewer full "
+              f"selections ({baseline['selections']} vs "
+              f"{live['selections']})")
+        print(f"exactness: {mismatches} mismatches across "
+              f"{REPEATS * COMMITS * len(STANDING)} per-commit comparisons")
         print(f"\nwire delivery over {wire['commits']} hot commits: "
               f"hot connection {wire['pushes_hot']} push(es), "
               f"cold connection {wire['pushes_cold']}, "
               f"content {'ok' if wire['content_ok'] else 'DIVERGED'}")
+        print(f"\n{recorded}")
 
-    assert live["mismatches"] == 0, (
-        f"{live['mismatches']} live results diverged from fresh execution"
+    assert mismatches == 0, (
+        f"{mismatches} live results diverged from fresh execution"
     )
     assert wire["pushes_cold"] == 0, "push delivered to an unchanged watch"
     assert wire["content_ok"], "pushed result diverged from fresh execution"
     if not QUICK:
-        assert ratio >= 5.0, (
-            f"delta maintenance saved only {ratio:.1f}x engine "
-            "executions, below the 5x gate"
+        assert ratio["median"] >= 5.0, (
+            f"live maintenance saved only {ratio['median']:.1f}x full "
+            "selections, below the 5x gate"
         )
         assert wire["pushes_hot"] == wire["commits"], (
             f"hot watch expected {wire['commits']} pushes, got "

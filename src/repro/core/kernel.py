@@ -224,12 +224,14 @@ class GISKernel:
         return list(self._replicas)
 
     def replication_status(self) -> dict[str, Any]:
-        """Leader status plus per-replica LSN/lag (``replication`` in
+        """Leader status plus per-replica LSN/lag and the replica's
+        private result cache counters (``replication`` in
         :meth:`stats`)."""
         return {
             "leader": self.database.replication_status(),
-            "replicas": [db.replication_status()
-                         for db, _cache in self._replicas.values()],
+            "replicas": [{**db.replication_status(),
+                          "query_cache": cache.stats()}
+                         for db, cache in self._replicas.values()],
         }
 
     def _pick_replica(self) -> tuple[GeographicDatabase, QueryResultCache]:

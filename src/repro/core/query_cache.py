@@ -34,7 +34,7 @@ Concurrency:
   preserving read-your-own-commit);
 * entry installs are freshness-guarded: an install never replaces an
   entry whose versions are strictly newer (a slow single-flight leader
-  cannot clobber a delta-maintained entry the
+  cannot clobber a maintained entry the
   :class:`~repro.core.live_queries.LiveQueryManager` advanced past it).
 
 Query texts are prepared once: :meth:`QueryResultCache.prepare` keeps
@@ -232,7 +232,7 @@ class QueryResultCache:
 
     def put_maintained(self, key: tuple, result: QueryResult,
                        versions: dict[str, int]) -> None:
-        """Install a delta-maintained result at its advanced versions.
+        """Install a live-maintained result at its advanced versions.
 
         Subject to the same freshness guard as miss installs, so a
         racing full execution and a delta application converge on the

@@ -1361,7 +1361,7 @@ class GeographicDatabase:
         writers serialize on. Write-set listeners (live query
         maintenance, window refresh, wire pushes) run first, so a rule
         reacting to the commit-phase event already observes
-        delta-maintained standing results.
+        maintained standing results.
         """
         if write_set is not None:
             for listener in list(self._write_set_listeners):

@@ -22,16 +22,19 @@ The engine evaluates a :class:`repro.geodb.query.Query` against a
 3. **Shape** — ordering, limiting and projection/aggregation, in one
    shaper that reads columns (:meth:`QueryEngine.shape`).
 
-Every selection reaches the shaper as a list of ``(columns, selected
-row positions)`` parts, one per closure class, in extent order whatever
-the plan. Scenario queries shape through the same entry over a
-transient batch of their overlay candidates. A mixed closure shapes one
-part per class: one sort on the total order ``(value is None, value,
-oid)`` and one aggregate whose float sums are correctly rounded
-(:func:`finalize_aggregate`). The engine always answers at the **latest
-committed state** — MVCC snapshot readers and mid-transaction overlays
-resolve through ``Transaction.query``/``read`` and never reach this
-module.
+:meth:`QueryEngine.select` runs steps 1–2 and :meth:`QueryEngine.execute`
+is ``shape(select(...))``. Every selection reaches the shaper as a list
+of ``(columns, selected row positions)`` parts, one per closure class,
+in extent order whatever the plan. Scenario queries shape through the
+same entry over a transient batch of their overlay candidates, and live
+watches (:mod:`repro.core.live_queries`) reshape their maintained
+selection through it after every commit that moves it. A mixed closure
+shapes one part per class: one sort on the total order ``(value is
+None, value, oid)`` and one aggregate whose float sums are correctly
+rounded (:func:`finalize_aggregate`). The engine always answers at the
+**latest committed state** — MVCC snapshot readers and mid-transaction
+overlays resolve through ``Transaction.query``/``read`` and never reach
+this module.
 
 The returned :class:`QueryResult` carries the rows plus an execution
 report (overall plan, truthful per-class plan list, candidates
@@ -51,7 +54,7 @@ from ..errors import QueryError
 from .database import GeographicDatabase
 from .instances import GeoObject
 from .planner import FULL_SCAN, INDEX_SCAN, ClassPlan, QueryPlanner
-from .query import MISSING, Query, TruePredicate, compile_path
+from .query import MISSING, Query, TruePredicate
 from .schema import GeoClass
 
 
@@ -61,10 +64,8 @@ def finalize_aggregate(op: str, values) -> Any:
     ``count`` counts the values; ``min``/``max``/``sum``/``avg`` yield
     ``None`` on empty input. A float sum is computed with
     :func:`math.fsum` — correctly rounded, so independent of the order
-    the values arrive in (extent order, closure class order, a live
-    watch's contribution map); integer sums stay plain ``sum`` and keep
-    their type. The one statement of these rules for the engine's shaper
-    and live-query recombination.
+    the values arrive in (extent order, closure class order); integer
+    sums stay plain ``sum`` and keep their type.
     """
     if op == "count":
         return len(values)
@@ -103,9 +104,9 @@ class QueryResult:
         """Matching oids, computed once per result.
 
         Results are shared immutable snapshots (the kernel result cache
-        hands the same object to every hit) and live-query maintenance
-        re-reads the oid set on every delta, so the list is cached on
-        first call instead of rebuilt per call.
+        hands the same object to every hit, and live-query maintenance
+        compares the oids of every reshaped result), so the list is
+        cached on first call instead of rebuilt per call.
         """
         if self._oids is None:
             self._oids = [obj.oid for obj in self.objects]
@@ -156,10 +157,10 @@ class QueryEngine:
     def execute(self, schema_name: str, query: Query) -> QueryResult:
         rec = obs.RECORDER
         if not rec.enabled:
-            return self._execute(schema_name, query)
+            return self.shape(query, *self.select(schema_name, query))
         with rec.timed("query.seconds"), \
                 rec.span("query.execute", cls=query.class_name) as span:
-            result = self._execute(schema_name, query)
+            result = self.shape(query, *self.select(schema_name, query))
             span.annotate(plan=result.report["plan"],
                           candidates=result.report["candidates"],
                           matches=result.report["matches"])
@@ -171,7 +172,15 @@ class QueryEngine:
         ).observe(result.report["candidates"])
         return result
 
-    def _execute(self, schema_name: str, query: Query) -> QueryResult:
+    def select(self, schema_name: str, query: Query
+               ) -> tuple[GeoClass, list[tuple], dict[str, Any]]:
+        """Plan and select, without shaping: ``(query class, parts,
+        report)``, the arguments :meth:`shape` takes after the query.
+
+        ``parts`` holds one ``(columns, selected row positions)`` pair
+        per closure class, in closure order, rows in extent order.
+        Live watches keep this untruncated selection and reshape it.
+        """
         db = self.database
         schema = db.get_schema_object(schema_name)
         geo_class = schema.get_class(query.class_name)
@@ -188,8 +197,7 @@ class QueryEngine:
                                           equality, query, geo_class)
             parts.append(part)
             candidates += examined
-        return self.shape(query, geo_class, parts,
-                          self._report(plans, candidates))
+        return geo_class, parts, self._report(plans, candidates)
 
     def _select(self, schema_name: str, class_plan: ClassPlan, prefilter,
                 equality, query: Query, geo_class: GeoClass):
@@ -264,31 +272,6 @@ class QueryEngine:
 
     # -- shaping ---------------------------------------------------------------
 
-    @staticmethod
-    def _order_key(geo_class: GeoClass, query: Query):
-        """The (key function, descending) pair for ``order_by``.
-
-        The one statement of the result order: :meth:`_order_columns`
-        decorates rows with exactly these key tuples, and live-query
-        maintenance bisects on them.
-        """
-        path = query.order_by
-        descending = path.startswith("-")
-        if descending:
-            path = path[1:]
-        accessor = compile_path(path, geo_class)
-
-        def key(obj: GeoObject):
-            value = accessor(obj)
-            if value is MISSING:
-                value = None
-            # None sorts last regardless of direction; the oid breaks
-            # ties so the ordering is total — any partition of the
-            # matches sorts back into the same sequence.
-            return (value is None, value, obj.oid)
-
-        return key, descending
-
     def shape(self, query: Query, geo_class: GeoClass, parts: list[tuple],
               report: dict[str, Any]) -> QueryResult:
         """Shape a selection straight from the columns — every route's
@@ -303,8 +286,9 @@ class QueryEngine:
         """
         if query.aggregates:
             rows = [self._aggregate_columns(parts, geo_class, query)]
-            matches = [columns.objects[i]
-                       for columns, selected in parts for i in selected]
+            matches = []
+            for columns, selected in parts:
+                matches.extend(map(columns.objects.__getitem__, selected))
             report["matches"] = len(matches)
             return QueryResult(query, matches, rows, report)
         if query.order_by:
@@ -323,9 +307,9 @@ class QueryEngine:
                        query: Query) -> list[tuple]:
         """Sort selected ``(columns, row)`` pairs by the order column.
 
-        The key tuples are exactly :meth:`_order_key`'s — ``(value is
-        None, value, oid)`` with MISSING folded to None — and the oid
-        tiebreak makes the ordering total, so sorting any partition of
+        The key tuples are ``(value is None, value, oid)`` with MISSING
+        folded to None, so nulls sort last in either direction, and the
+        oid tiebreak makes the ordering total: sorting any partition of
         the matches (closure classes) yields one sequence. A ``limit``
         switches the full sort to a heap top-k (same total order, so
         the same prefix) and is applied before the pairs are rebuilt.
@@ -341,8 +325,8 @@ class QueryEngine:
         for part, (columns, selected) in enumerate(parts):
             column = columns.path_column(path, geo_class)
             oids = columns.oids
-            if len(selected) == columns.cardinality and not any(
-                    v is None or v is MISSING for v in column):
+            if len(selected) == columns.cardinality \
+                    and None not in column and MISSING not in column:
                 # Unfiltered scan, no null keys: decorate at C speed.
                 keyed.extend(zip(repeat(False), column, oids,
                                  repeat(part), range(len(column))))

@@ -505,6 +505,10 @@ class Router:
         watch = state.watches.get(update.watch_id)
         if watch is None or not watch.active:
             return []
+        # This push delivers the update. Nothing reads a wire watch's
+        # in-process queue, which would otherwise keep every pushed
+        # result for the watch's lifetime.
+        watch.pop_updates()
         result = update.result
         return [contracts.make_push(
             "live_update",

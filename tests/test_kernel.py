@@ -11,10 +11,13 @@ import pytest
 from repro.active.event_bus import Event, EventKind
 from repro.core import Context, GISKernel, GISSession
 from repro.errors import SessionError
+from repro.geodb import (GeographicDatabase, LocalReplicationSource,
+                         MemoryPager, WriteAheadLog)
 from repro.geodb.database import WriteOp
 from repro.lang import FIGURE_6_PROGRAM
 from repro.spatial import Point
-from repro.workloads import build_phone_net_database
+from repro.workloads import build_mix_schema, build_phone_net_database
+from repro.workloads.txn_mix import MIX_CLASS, MIX_SCHEMA
 
 
 @pytest.fixture()
@@ -93,6 +96,25 @@ class TestKernelLifecycle:
         stats = kernel.stats()
         assert len(stats["sessions"]) == 1
         assert "engine" in stats and "rules" in stats["engine"]
+
+    def test_replica_result_cache_in_status_tree(self):
+        """A replica-routed query's cache hit shows up in the replica's
+        entry of the status tree."""
+        leader = GeographicDatabase("leader", pager=MemoryPager())
+        leader.register_schema(build_mix_schema())
+        leader.attach_wal(WriteAheadLog(MemoryPager(), sync_mode="none"))
+        leader.insert(MIX_SCHEMA, MIX_CLASS, {"name": "a", "size": 1})
+        with GISKernel(leader) as kernel:
+            kernel.attach_replica(GeographicDatabase.follow(
+                LocalReplicationSource(leader), name="r0"))
+            for __ in range(2):
+                result = kernel.query(MIX_SCHEMA, "select count(*) from "
+                                      "Feature", read_preference="replica")
+                assert result.rows == [{"count(*)": 1}]
+            [replica] = kernel.stats()["replication"]["replicas"]
+            assert replica["query_cache"]["misses"] == 1
+            assert replica["query_cache"]["hits"] == 1
+            assert kernel.stats()["query_cache"]["lookups"] == 0
 
 
 class TestSessionScopedDecisions:

@@ -6,8 +6,8 @@ execution, yet a ``live_update`` is delivered only when the result's
 content actually changed. These tests check the contract three ways:
 
 * unit cases per result shape (plain, ordered, ordered+limit,
-  projection, aggregates) hitting every delta branch and every
-  declared fallback;
+  projection, aggregates) through inserts, updates and deletes, also
+  across a ``LIMIT`` horizon;
 * a randomized, seeded churn mix over *all* shapes at once — after
   every single commit the maintained result must match a fresh
   execution, and the presence of an update must match an actual
@@ -66,19 +66,12 @@ def content(result):
 
 
 def assert_matches_fresh(db, watch, text):
+    """The maintained result is the one a fresh execution returns: the
+    same oids in the same order and identical rows, for every shape."""
     expected = fresh(db, text)
     got = watch.result()
-    assert got.oids() == expected.oids() or (
-        # unordered results may differ in plan-dependent order
-        "order by" not in text
-        and sorted(got.oids()) == sorted(expected.oids())
-    ), f"oids diverged for {text!r}"
-    if expected.rows is not None:
-        if "order by" in text or "count(" in text:
-            assert got.rows == expected.rows
-        else:
-            assert sorted(got.rows, key=lambda r: r["oid"]) == \
-                sorted(expected.rows, key=lambda r: r["oid"])
+    assert got.oids() == expected.oids(), f"oids diverged for {text!r}"
+    assert got.rows == expected.rows, f"rows diverged for {text!r}"
 
 
 class TestDeltaShapes:
@@ -136,11 +129,12 @@ class TestDeltaShapes:
         assert kernel.live.stats()["fallback_reexec"] == 0
         assert len(watch.pop_updates()) == 1
         assert_matches_fresh(db, watch, text)
-        # losing a member under the horizon needs the unseen tail:
-        # falls back, still exact
+        # losing a member under the horizon promotes the next row of
+        # the untruncated selection: still a delta, still exact
         with kernel.transaction(session) as txn:
             txn.delete("Feature#peak")
-        assert kernel.live.stats()["fallback_reexec"] == 1
+        assert kernel.live.stats()["fallback_reexec"] == 0
+        assert len(watch.pop_updates()) == 1
         assert_matches_fresh(db, watch, text)
 
     def test_projection_rows_stay_minimal(self, db, kernel):
@@ -337,8 +331,10 @@ class TestRandomizedChurn:
         run_churn(db, kernel, session, watches, random.Random(1234),
                   commits=80)
         stats = kernel.live.stats()
-        # the mix must actually exercise both paths
-        assert stats["delta_applied"] > stats["fallback_reexec"] > 0
+        # reshaping the untruncated selection is exact at any LIMIT:
+        # every commit is a delta, none falls back
+        assert stats["delta_applied"] == 80 * len(WATCHED)
+        assert stats["fallback_reexec"] == 0
 
     def test_churn_with_replica_reads(self, db):
         """Replica-routed reads of the watched queries agree with the
@@ -364,6 +360,68 @@ class TestRandomizedChurn:
                     sorted(watch.result().oids()), text
                 if routed.rows is not None and "count(" in text:
                     assert routed.rows == watch.result().rows
+
+
+class TestConcurrentCommitters:
+    def test_watches_converge_under_concurrent_commits(self, db, kernel):
+        """Write-sets reach the manager out of commit order while other
+        commits are already applied to the column sets a watch reads;
+        once the committers are done every watch equals a fresh
+        execution."""
+        import sys
+        import threading
+
+        from repro.errors import TransactionError
+
+        watches = [(kernel.session(user="w").watch(MIX_SCHEMA, text), text)
+                   for text in WATCHED]
+        seeds = list(db.extent(MIX_SCHEMA, MIX_CLASS).oids())
+
+        errors = []
+
+        def committer(worker):
+            rng = random.Random(worker)
+            session = kernel.session(user=f"c{worker}")
+            mine = []       # this worker's committed inserts
+            for i in range(25):
+                oid = f"Feature#t{worker}-{i}"
+                gone = mine[0] if len(mine) > 3 and rng.random() < 0.3 \
+                    else None
+                try:
+                    with kernel.transaction(session) as txn:
+                        txn.insert(MIX_SCHEMA, MIX_CLASS, {
+                            "name": oid, "size": rng.randint(0, 60),
+                            "location": Point(rng.randint(0, WORLD),
+                                              rng.randint(0, WORLD))},
+                            oid=oid)
+                        txn.update(rng.choice(seeds + mine),
+                                   {"size": rng.randint(0, 60)})
+                        if gone is not None:
+                            txn.delete(gone)
+                except TransactionError:
+                    continue    # a write-write conflict on a seed row
+                except Exception as exc:    # reported by the main thread
+                    errors.append(exc)
+                    return
+                mine.append(oid)
+                if gone is not None:
+                    mine.remove(gone)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=committer, args=(w,))
+                       for w in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        for watch, text in watches:
+            assert_matches_fresh(db, watch, text)
 
 
 class TestOverTheWire:
@@ -401,6 +459,10 @@ class TestOverTheWire:
                 assert sorted(r["name"] for r in pushes_a[0]["rows"]) == \
                     sorted(r["name"] for r in expected.rows)
                 assert pushes_b == []
+                # the pushes delivered the updates: no wire watch keeps
+                # a queue of results nobody reads
+                assert [row["pending"] for row in
+                        kernel.live.watch_status()] == [0, 0]
 
                 # released watches stop pushing
                 assert a.unwatch(snap_a["watch"]) is True

@@ -19,7 +19,9 @@ batch patches each cached set instead of discarding it, and the patched
 set must equal a fresh build field by field, whichever path applied the
 batch (local commit, replicated batch, WAL recovery replay), whether
 the commit succeeded, was refused or rolled back, and whether lazy
-columns were added while it applied.
+columns were added while it applied. Live watches ride along on the
+leader: after every batch each watch equals a fresh execution exactly,
+and it was pushed if and only if its content changed.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core import live_queries
+from repro.core.kernel import GISKernel
 from repro.errors import ObjectNotFoundError, TransactionError, WALError
 from repro.geodb import (FLOAT, INTEGER, TEXT, Attribute, ClassColumns,
                          GeoClass, GeographicDatabase,
@@ -492,9 +496,11 @@ def _stage(txn, op, live: list) -> None:
                    oid=oid)
 
 
-def apply_schedule(leader, follower, schedule) -> None:
+def apply_schedule(leader, follower, schedule, watches=None) -> None:
     """Run ``schedule`` on the leader, then ship each batch to the
-    follower; both caches must equal fresh builds after every batch.
+    follower; both caches must equal fresh builds after every batch,
+    and the leader's ``watches`` (a :class:`WatchOracle`), if any, must
+    equal fresh executions.
 
     Each leader commit's log barrier — inside the batch, seqlock odd —
     first adds the lazy columns, standing in for a scan that meets the
@@ -525,6 +531,8 @@ def apply_schedule(leader, follower, schedule) -> None:
         finally:
             leader.wal.__dict__.pop("log_commit", None)
         assert_patched_equals_fresh(leader)
+        if watches is not None:
+            watches.check()
         follower.poll_replication()
         assert_patched_equals_fresh(follower)
         if i % 2:
@@ -541,9 +549,73 @@ def make_leader(heap, log):
     return leader
 
 
-def check_schedule(schedule) -> None:
-    """The whole delta==fresh check: leader, follower, then a restart
-    that replays the leader's log over warm columns."""
+#: one watch per result shape, each over the two-class closure
+WATCH_TEXTS = [
+    "select * from Feature where size >= 0 limit 3 including subclasses",
+    "select name, size from Feature order by desc size limit 3 "
+    "including subclasses",
+    "select name, size, spec.grade from Feature where name != 'cedar' "
+    "including subclasses",
+    "select count(*), count(size), min(size), sum(size), max(spec.span) "
+    "from Feature where within(location, bbox(0, 0, 5, 5)) "
+    "including subclasses",
+]
+
+
+class WatchOracle:
+    """Live watches of every shape on a kernel over the leader.
+
+    :meth:`check` runs after every batch, committed, refused or rolled
+    back: each watch's result must be a fresh execution's (the same
+    objects in the same order, identical rows), and the watch must have
+    been pushed exactly when its content changed. Content is the rows
+    and, unless the query aggregates, the oids in order; a bare-object
+    result also changes when the batch updated one of its objects in
+    place.
+    """
+
+    def __init__(self, leader):
+        self.leader = leader
+        self.kernel = GISKernel(leader)
+        session = self.kernel.session(user="oracle")
+        self.watches = [(session.watch(MIX_SCHEMA, text), parse_query(text))
+                        for text in WATCH_TEXTS]
+        self.seen: list = []
+        leader.add_write_set_listener(self.seen.append)
+        self.last = {watch.watch_id: watch.result()
+                     for watch, __ in self.watches}
+
+    def check(self) -> None:
+        engine = QueryEngine(self.leader)
+        written = {op.oid for ws in self.seen for op in ws.ops
+                   if op.op == "update"}
+        self.seen.clear()
+        for watch, query in self.watches:
+            got, old = watch.result(), self.last[watch.watch_id]
+            expected = engine.execute(MIX_SCHEMA, query)
+            text = query.describe()
+            assert got.oids() == expected.oids(), text
+            assert all(a is b for a, b in zip(got.objects, expected.objects))
+            assert got.rows == expected.rows, text
+            if query.aggregates:
+                changed = got.rows != old.rows
+            else:
+                changed = (got.oids() != old.oids() or got.rows != old.rows
+                           or (got.rows is None
+                               and not written.isdisjoint(old.oids())))
+            pushed = bool(watch.pop_updates())
+            assert pushed == changed, (text, pushed, changed)
+            self.last[watch.watch_id] = got
+
+    def close(self) -> None:
+        self.leader.remove_write_set_listener(self.seen.append)
+        self.kernel.shutdown()
+
+
+def check_schedule(schedule, watched: bool = True) -> None:
+    """The whole delta==fresh check: leader (with live watches unless
+    ``watched`` is false), follower, then a restart that replays the
+    leader's log over warm columns."""
     heap, log = MemoryPager(), MemoryPager()
     leader = make_leader(heap, log)
     with leader.transaction() as txn:
@@ -554,8 +626,11 @@ def check_schedule(schedule) -> None:
     follower = GeographicDatabase.follow(LocalReplicationSource(leader))
     warm(leader)
     warm(follower)
+    watches = WatchOracle(leader) if watched else None
     builds = (leader.column_cache.builds, follower.column_cache.builds)
-    apply_schedule(leader, follower, schedule)
+    apply_schedule(leader, follower, schedule, watches)
+    if watches is not None:
+        watches.close()
     assert (leader.column_cache.builds, follower.column_cache.builds) \
         == builds      # patched every time, never rebuilt
 
@@ -583,7 +658,9 @@ def check_schedule(schedule) -> None:
 
 #: every route once: a rolled-back update of lazily added paths, several
 #: inserts, insert+update, update+delete, a cross-class delete+re-insert,
-#: a rolled-back delete, a refused commit
+#: a rolled-back delete, a refused commit, and last an update of a
+#: member that moves no watch's membership but changes what three of
+#: the watches show
 FIXED_SCHEDULE = [
     ("log_failure", [("update", 1, {"location": Point(9.0, 9.0),
                                     "spec": {"grade": "cedar", "span": 3},
@@ -599,6 +676,7 @@ FIXED_SCHEDULE = [
     ("log_failure", [("delete", 0), ("update", 4, {"size": -1})]),
     ("commit", [("update", 0, {"parent": GHOST})]),
     ("commit", [("delete", 5), ("update", 6, {"location": None})]),
+    ("commit", [("update", 0, {"size": 5})]),
 ]
 
 
@@ -632,12 +710,30 @@ def _keeping_in_flight(real_resolve):
     return resolve
 
 
+def _ignoring_member_updates(real_apply):
+    def apply(self, ws, engine):
+        before = {name: set(members)
+                  for name, members in self.members.items()}
+        result = real_apply(self, ws, engine)
+        return None if self.members == before else result
+    return apply
+
+
 @pytest.mark.parametrize("bug", ["skip bbox columns", "append deletes",
-                                 "keep in-flight lazy columns"])
+                                 "keep in-flight lazy columns",
+                                 "reshape on membership changes only"])
 def test_oracle_catches_a_seeded_patch_bug(bug, monkeypatch):
-    """The oracle is falsifiable: each deliberately broken patch makes
-    the fixed schedule fail it."""
-    if bug == "skip bbox columns":
+    """The oracle is falsifiable: each deliberately broken patch, or a
+    watch that ignores in-place member updates, makes the fixed
+    schedule fail it. A broken patch is left to the column check alone:
+    watches select over the patched sets, and may crash on a broken one
+    before the check runs."""
+    watched = bug == "reshape on membership changes only"
+    if watched:
+        monkeypatch.setattr(
+            live_queries._LiveState, "apply",
+            _ignoring_member_updates(live_queries._LiveState.apply))
+    elif bug == "skip bbox columns":
         monkeypatch.setattr(ClassColumns, "advance",
                             _skip_bbox_patch(ClassColumns.advance))
     elif bug == "append deletes":
@@ -647,7 +743,7 @@ def test_oracle_catches_a_seeded_patch_bug(bug, monkeypatch):
         monkeypatch.setattr(ClassColumns, "_resolve",
                             _keeping_in_flight(ClassColumns._resolve))
     with pytest.raises(AssertionError):
-        check_schedule(FIXED_SCHEDULE)
+        check_schedule(FIXED_SCHEDULE, watched)
 
 
 def test_lazy_column_of_a_rolled_back_commit_does_not_stay():
