@@ -126,16 +126,14 @@ def _member_rows(columns: ClassColumns, members: set[str]) -> list[int]:
     A member that a later, not yet delivered commit deleted has no row
     and is skipped; that commit's write-set drops it. A selection of
     most of the class filters the oid column; a smaller one maps its
-    oids through ``row_of`` and sorts the rows.
+    oids through ``row_of`` and sorts the rows. Each is the faster one
+    on its side of half the class (EXPERIMENTS.md P5).
     """
     if 2 * len(members) > columns.cardinality:
         return list(compress(range(columns.cardinality),
                              map(members.__contains__, columns.oids)))
     row_of = columns.row_of
-    try:
-        return sorted(map(row_of.__getitem__, members))
-    except KeyError:
-        return sorted(row_of[oid] for oid in members if oid in row_of)
+    return sorted([row_of[oid] for oid in members if oid in row_of])
 
 
 class _LiveState:
@@ -186,13 +184,11 @@ class _LiveState:
         column_cache = engine.database.column_cache
         where = self.query.where
         moved = False
-        sets = []
-        for class_name, members in self.members.items():
-            columns = column_cache.for_class(self.schema_name, class_name)
-            sets.append(columns)
-            oids = written.get(class_name)
-            if not oids:
-                continue
+        sets: dict[str, ClassColumns] = {}
+        for class_name, oids in written.items():
+            members = self.members[class_name]
+            columns = sets[class_name] = column_cache.for_class(
+                self.schema_name, class_name)
             row_of = columns.row_of
             rows = [row for oid in oids
                     if (row := row_of.get(oid)) is not None]
@@ -205,8 +201,13 @@ class _LiveState:
                 members |= selected
         if not moved:
             return None
-        parts = [(columns, _member_rows(columns, members))
-                 for columns, members in zip(sets, self.members.values())]
+        parts = []
+        for class_name, members in self.members.items():
+            columns = sets.get(class_name)
+            if columns is None:
+                columns = column_cache.for_class(self.schema_name,
+                                                 class_name)
+            parts.append((columns, _member_rows(columns, members)))
         return engine.shape(self.query, self.geo_class, parts,
                             dict(self.result.report))
 

@@ -155,22 +155,7 @@ class QueryEngine:
         self.planner = QueryPlanner(database)
 
     def execute(self, schema_name: str, query: Query) -> QueryResult:
-        rec = obs.RECORDER
-        if not rec.enabled:
-            return self.shape(query, *self.select(schema_name, query))
-        with rec.timed("query.seconds"), \
-                rec.span("query.execute", cls=query.class_name) as span:
-            result = self.shape(query, *self.select(schema_name, query))
-            span.annotate(plan=result.report["plan"],
-                          candidates=result.report["candidates"],
-                          matches=result.report["matches"])
-        rec.inc("query.executed", plan=result.report["plan"])
-        for class_plan in result.report["plans"]:
-            rec.inc("query.plan", choice=class_plan["plan"])
-        rec.registry.histogram(
-            "query.candidates", buckets=obs.COUNT_BUCKETS
-        ).observe(result.report["candidates"])
-        return result
+        return self.shape(query, *self.select(schema_name, query))
 
     def select(self, schema_name: str, query: Query
                ) -> tuple[GeoClass, list[tuple], dict[str, Any]]:
@@ -180,7 +165,29 @@ class QueryEngine:
         ``parts`` holds one ``(columns, selected row positions)`` pair
         per closure class, in closure order, rows in extent order.
         Live watches keep this untruncated selection and reshape it.
+        Every full selection — a query, a watch registration, a live
+        fallback — is recorded here.
         """
+        rec = obs.RECORDER
+        if not rec.enabled:
+            return self._select_closure(schema_name, query)
+        with rec.timed("query.seconds"), \
+                rec.span("query.execute", cls=query.class_name) as span:
+            selection = self._select_closure(schema_name, query)
+            report = selection[2]
+            span.annotate(plan=report["plan"],
+                          candidates=report["candidates"],
+                          selected=sum(len(rows) for _, rows in selection[1]))
+        rec.inc("query.executed", plan=report["plan"])
+        for class_plan in report["plans"]:
+            rec.inc("query.plan", choice=class_plan["plan"])
+        rec.registry.histogram(
+            "query.candidates", buckets=obs.COUNT_BUCKETS
+        ).observe(report["candidates"])
+        return selection
+
+    def _select_closure(self, schema_name: str, query: Query
+                        ) -> tuple[GeoClass, list[tuple], dict[str, Any]]:
         db = self.database
         schema = db.get_schema_object(schema_name)
         geo_class = schema.get_class(query.class_name)

@@ -424,6 +424,115 @@ class TestConcurrentCommitters:
             assert_matches_fresh(db, watch, text)
 
 
+class TestFallbacks:
+    """The two fallbacks, reached deterministically: each re-selects,
+    equals a fresh execution and pushes iff the content changed."""
+
+    def test_version_gap(self, db, kernel):
+        session = kernel.session(user="u")
+        text = "select name, size from Feature where size >= 20 " \
+               "order by desc size limit 5"
+        watch = session.watch(MIX_SCHEMA, text)
+        # the kernel's feed misses one commit that enters the top 5
+        db.remove_write_set_listener(kernel._on_write_set)
+        with kernel.transaction(session) as txn:
+            txn.insert(MIX_SCHEMA, MIX_CLASS, {"name": "gap", "size": 998},
+                       oid="Feature#gap")
+        db.add_write_set_listener(kernel._on_write_set)
+        with kernel.transaction(session) as txn:
+            txn.insert(MIX_SCHEMA, MIX_CLASS, {"name": "low", "size": 1},
+                       oid="Feature#low")
+        assert kernel.live.stats()["fallback_reexec"] == 1
+        assert watch.result().report["live"]["reason"] == "reexec:version-gap"
+        assert_matches_fresh(db, watch, text)
+        assert watch.result().oids()[0] == "Feature#gap"
+        updates = watch.pop_updates()
+        assert [u.reason for u in updates] == ["reexec"]
+        # a gap over commits that leave the content alone is silent
+        db.remove_write_set_listener(kernel._on_write_set)
+        with kernel.transaction(session) as txn:
+            txn.update("Feature#low", {"size": 2})
+        db.add_write_set_listener(kernel._on_write_set)
+        with kernel.transaction(session) as txn:
+            txn.update("Feature#low", {"size": 3})
+        assert kernel.live.stats()["fallback_reexec"] == 2
+        assert_matches_fresh(db, watch, text)
+        assert watch.pop_updates() == []
+
+    def test_closure_change(self, db, kernel):
+        from repro.geodb.schema import GeoClass
+
+        session = kernel.session(user="u")
+        text = "select * from Feature where size >= 20 including subclasses"
+        watch = session.watch(MIX_SCHEMA, text)
+        db.get_schema_object(MIX_SCHEMA).add_class(
+            GeoClass("SubFeature", superclass=MIX_CLASS))
+        # one commit to the base class and the new subclass: the delta
+        # knows only the old closure, so the selection is rebuilt
+        with kernel.transaction(session) as txn:
+            txn.update("Feature#seed01", {"size": 1})
+            txn.insert(MIX_SCHEMA, "SubFeature", {"name": "sub", "size": 30},
+                       oid="SubFeature#1")
+        assert kernel.live.stats()["fallback_reexec"] == 1
+        assert watch.result().report["live"]["reason"] == \
+            "reexec:closure-change"
+        assert_matches_fresh(db, watch, text)
+        assert "SubFeature#1" in watch.result().oids()
+        assert [u.reason for u in watch.pop_updates()] == ["reexec"]
+        # the rebuilt state maintains the grown closure by deltas
+        with kernel.transaction(session) as txn:
+            txn.update("SubFeature#1", {"size": 5})
+        assert kernel.live.stats()["fallback_reexec"] == 1
+        assert_matches_fresh(db, watch, text)
+        assert "SubFeature#1" not in watch.result().oids()
+        assert [u.reason for u in watch.pop_updates()] == ["delta"]
+
+    def test_member_deleted_by_an_undelivered_commit(self, db, kernel):
+        """A write-set delivered after a later commit already patched
+        the column sets: a member that later commit deleted has no row
+        and is skipped, on both sides of the half-class split, and the
+        later write-set then drops it, all without a fallback."""
+        session = kernel.session(user="u")
+        small = "select name, size from Feature where size >= 40"
+        large = "select * from Feature where size >= 0 order by size"
+        watches = [(session.watch(MIX_SCHEMA, text), text)
+                   for text in (small, large)]
+        member, other = fresh(db, small).oids()[:2]
+        captured = []
+        db.remove_write_set_listener(kernel._on_write_set)
+        db.add_write_set_listener(captured.append)
+        with kernel.transaction(session) as txn:
+            txn.update(other, {"size": 45})
+        with kernel.transaction(session) as txn:
+            txn.delete(member)
+        db.remove_write_set_listener(captured.append)
+        db.add_write_set_listener(kernel._on_write_set)
+        for ws in captured:
+            kernel._on_write_set(ws)
+            for watch, text in watches:
+                assert_matches_fresh(db, watch, text)
+        assert kernel.live.stats()["fallback_reexec"] == 0
+
+    def test_every_full_selection_is_recorded(self, db, kernel,
+                                              obs_recorder):
+        session = kernel.session(user="u")
+        text = "select * from Feature where size >= 20"
+        registry = obs_recorder.registry
+        watch = session.watch(MIX_SCHEMA, text)
+        assert registry.counter_total("query.executed") == 1
+        db.remove_write_set_listener(kernel._on_write_set)
+        with kernel.transaction(session) as txn:
+            txn.update("Feature#seed01", {"size": 40})
+        db.add_write_set_listener(kernel._on_write_set)
+        with kernel.transaction(session) as txn:
+            txn.update("Feature#seed01", {"size": 41})
+        assert kernel.live.stats()["fallback_reexec"] == 1
+        assert registry.counter_total("query.executed") == 2
+        assert registry.counter_value("live.fallback_reexec",
+                                      reason="version-gap") == 1
+        assert_matches_fresh(db, watch, text)
+
+
 class TestOverTheWire:
     def test_pushes_route_only_to_changed_watches(self, db, kernel):
         """Two connections, disjoint predicates: commits matching only
