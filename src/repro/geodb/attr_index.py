@@ -60,6 +60,11 @@ class HashIndex:
             del self._buckets[value]
         self._size -= 1
 
+    def clear(self) -> None:
+        """Drop every entry; the index object stays the same."""
+        self._buckets.clear()
+        self._size = 0
+
     def lookup(self, value: Any) -> set[str]:
         """A **copy** of the bucket for ``value`` (safe to mutate)."""
         if not _indexable(value):

@@ -13,7 +13,8 @@ it talks to a *source* object with three methods:
     shipped head LSN and the ``snapshot_required`` signal (the
     :meth:`LogShipper.poll` contract).
 ``head_lsn()``
-    The newest shipped LSN, for lag reporting.
+    The newest shipped LSN, for lag reporting. It must not consult the
+    serving kernel's replicas, one of which may be the asking follower.
 
 Two implementations cover the deployment shapes:
 
@@ -22,8 +23,8 @@ Two implementations cover the deployment shapes:
   leader's :class:`~repro.geodb.wal.LogShipper` directly.
 * :class:`RemoteReplicationSource` — the follower lives in another
   process and pulls over the wire through a
-  :class:`~repro.net.client.GISClient` using the ``repl_snapshot`` /
-  ``repl_poll`` / ``repl_status`` contracts. Snapshots travel in chunks
+  :class:`~repro.net.client.GISClient` using the ``repl_snapshot`` and
+  ``repl_poll`` contracts. Snapshots travel in chunks
   so large databases fit under the protocol's frame cap.
 """
 
@@ -80,7 +81,9 @@ class RemoteReplicationSource:
         return self.client.repl_poll(cursor, max_batches=max_batches)
 
     def head_lsn(self) -> int:
-        return self.client.repl_status()["lsn"]
+        # A poll past every LSN ships only the head. (``repl_status``
+        # asks the server's replicas, which may include this follower.)
+        return self.client.repl_poll(2 ** 62, max_batches=1)["lsn"]
 
     def __repr__(self) -> str:
         return f"RemoteReplicationSource({self.client!r})"

@@ -92,17 +92,18 @@ class TestWireReplication:
         answers another connection's ``ping`` at once."""
         host, port, kernel = server
         entered = threading.Event()
-        real = kernel.replication_status
-
-        def slow_leader_status():
-            entered.set()
-            time.sleep(1.0)
-            return real()
-
-        monkeypatch.setattr(kernel, "replication_status", slow_leader_status)
         with GISClient(host, port) as feed:
             follower = GeographicDatabase.follow(
                 RemoteReplicationSource(feed), name="wire-f")
+            shipper = kernel.database.wal.shipper
+            real = shipper.poll
+
+            def slow_leader_poll(*args, **kwargs):
+                entered.set()
+                time.sleep(1.0)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(shipper, "poll", slow_leader_poll)
             served = GISKernel(follower)
             try:
                 with ServerThread(served) as (fhost, fport), \
@@ -124,6 +125,29 @@ class TestWireReplication:
         [tree] = trees
         status = tree["replication"]["leader"]
         assert (status["role"], status["lag"]) == ("follower", 0)
+
+    def test_stats_with_a_remote_replica_of_this_server_answers(
+            self, server):
+        """A kernel whose attached follower pulls from this same server
+        answers ``stats``. The follower reads its head LSN from a
+        ``repl_poll``, which consults no replica; a ``repl_status``
+        would ask that follower again, through the feed connection the
+        first request is still waiting on."""
+        host, port, kernel = server
+        with GISClient(host, port, timeout=5.0) as feed, \
+                GISClient(host, port, timeout=5.0) as client:
+            follower = GeographicDatabase.follow(
+                RemoteReplicationSource(feed), name="wire-f")
+            kernel.attach_replica(follower)
+            try:
+                kernel.database.insert(MIX_SCHEMA, MIX_CLASS,
+                                       {"name": "late", "size": 99})
+                replicas = [client.stats()["replication"]["replicas"],
+                            client.repl_status()["status"]["replicas"]]
+            finally:
+                kernel.detach_replica("wire-f")
+        for [replica] in replicas:
+            assert (replica["role"], replica["lag"]) == ("follower", 1)
 
     def test_replica_routed_wire_query(self, server):
         host, port, kernel = server

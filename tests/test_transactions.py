@@ -181,6 +181,42 @@ class TestReferentialIntegrity:
         db.delete(sup)
         assert db.count("s", "Supplier") == 0
 
+    def test_reference_survives_a_delete_and_reinsert_of_its_target(
+            self, db):
+        """A batch that points a reference at an object, then deletes
+        and re-inserts that object under its oid, keeps the reference:
+        the target cannot then be deleted while it is referenced."""
+        sup = db.insert("s", "Supplier", {"name": "a"})
+        pole = db.insert("s", "Pole", {"label": "p"})
+        with db.transaction() as txn:
+            txn.update(pole, {"supplier": sup})
+            txn.delete(sup)
+            txn.insert("s", "Supplier", {"name": "b"}, oid=sup)
+        assert db._incoming_refs == {sup: {(pole, "supplier")}}
+        with pytest.raises(TransactionError):
+            db.delete(sup)
+        assert db.get_object(pole).get("supplier") == sup
+
+
+class TestWriteSetListeners:
+    def test_a_raising_listener_is_counted_and_the_commit_stands(
+            self, db):
+        """A listener that raises does not fail the durable commit: it
+        is counted, and later listeners and commit-phase events run."""
+        seen, phases = [], []
+
+        def failing(write_set):
+            raise RuntimeError("listener bug")
+
+        db.add_write_set_listener(failing)
+        db.add_write_set_listener(seen.append)
+        db.bus.subscribe(lambda e: phases.append(e.payload.get("phase")))
+        oid = db.insert("s", "Supplier", {"name": "a"})
+        assert db.get_object(oid).get("name") == "a"
+        assert [[op.oid for op in ws.ops] for ws in seen] == [[oid]]
+        assert phases == ["validate", "commit"]
+        assert db.stats()["listener_failures"] == 1
+
 
 class TestEvents:
     def test_validate_then_commit_phases(self, db):
