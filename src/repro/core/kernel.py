@@ -360,7 +360,8 @@ class GISKernel:
             self.database.remove_write_set_listener(self._on_write_set)
 
     def _on_write_set(self, ws: CommitWriteSet) -> None:
-        """Runs on the committing (or replica-applying) thread."""
+        """Runs on the committing (or replica-applying) thread; each
+        consumer goes through ``database.deliver``, so none skips another."""
         self.live._on_write_set(ws)
         for session in list(self._sessions.values()):
             # A session mid-shutdown (another thread flipped _closed but
@@ -368,9 +369,9 @@ class GISKernel:
             # under it — refreshing would re-register interest the close
             # path just released.
             if not session._closed:
-                session.dispatcher.refresh(ws)
+                self.database.deliver(session.dispatcher.refresh, ws)
         for listener in list(self._change_listeners):
-            listener(ws)
+            self.database.deliver(listener, ws)
 
     # ------------------------------------------------------------------
     # Introspection & lifecycle

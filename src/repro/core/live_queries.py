@@ -327,9 +327,10 @@ class LiveQueryManager:
     # ------------------------------------------------------------------
 
     def _on_write_set(self, ws: CommitWriteSet) -> None:
+        # A watch that raises is counted; a later version gap re-selects.
         with self._lock:
             for state in list(self._states.values()):
-                self._maintain(state, ws)
+                self.kernel.database.deliver(self._maintain, state, ws)
 
     def _maintain(self, state: _LiveState, ws: CommitWriteSet) -> None:
         schema_name = state.schema_name

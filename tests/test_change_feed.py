@@ -10,7 +10,9 @@ the properties that only one ordered feed gives:
   operation as its own ``mutation`` frame;
 * work that never committed (an abort, a constraint veto) reaches no
   consumer;
-* a follower feeds the same consumers from replicated batches.
+* a follower feeds the same consumers from replicated batches;
+* a consumer that raises is counted, and the others still see the
+  commit.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import pytest
 
 from repro.active.constraints import ConstraintGuard, RelationConstraint
+from repro.core import live_queries
 from repro.core.kernel import GISKernel
 from repro.errors import ConstraintViolationError
 from repro.geodb import (
@@ -114,6 +117,36 @@ class TestUncommittedWorkIsSilent:
             assert viewer.dispatcher.interactions == before + 1
         finally:
             guard.manager.detach()
+
+
+class TestAFailingConsumerIsContained:
+    def test_a_raising_watch_leaves_the_rest_of_the_commit_delivered(
+            self, kernel, pole_oid, monkeypatch):
+        """The first watch's maintenance raises: the watch after it,
+        the window refresh and the wire push still see the commit."""
+        viewer = pole_viewer(kernel)
+        broken = viewer.watch("phone_net", "select count(*) from Pole")
+        watch = viewer.watch("phone_net", "select * from Pole")
+        real_apply = live_queries._LiveState.apply
+
+        def apply(state, ws, engine):
+            if state is broken._state:
+                raise IndexError("watch bug")
+            return real_apply(state, ws, engine)
+
+        monkeypatch.setattr(live_queries._LiveState, "apply", apply)
+        db = kernel.database
+        before = viewer.dispatcher.interactions
+        with ServerThread(kernel) as (host, port), \
+                GISClient(host, port, timeout=15) as watcher:
+            watcher.subscribe(["Pole"])
+            db.update(pole_oid, {"pole_historic": "relined"})
+            frames = mutation_frames(watcher)
+        assert [f["oid"] for f in frames] == [pole_oid]
+        assert viewer.dispatcher.interactions == before + 1
+        assert [u.reason for u in watch.pop_updates()] == ["delta"]
+        assert db.stats()["listener_failures"] == 1
+        assert kernel.stats()["database"]["listener_failures"] == 1
 
 
 class TestFollowerFeedsTheSameConsumers:
